@@ -36,8 +36,8 @@ void InfraCache::report_failure(const sim::NodeAddress& address,
   Entry& entry = entry_for(address);
   ++entry.failures;
   entry.last_failure = kind;
-  // Exponential RTT backoff so a flaky server sorts behind healthy ones
-  // even before it earns a hold-down.
+  // Exponential RTT backoff, visible in the SRTT even before the server
+  // earns a hold-down.
   entry.srtt_ms = entry.srtt_ms <= 0.0
                       ? options_.unknown_rtt_ms
                       : std::min(entry.srtt_ms * 2.0,
@@ -52,33 +52,38 @@ void InfraCache::report_failure(const sim::NodeAddress& address,
 
 void InfraCache::report_edns_broken(const sim::NodeAddress& address,
                                     sim::SimTimeMs now_ms,
-                                    std::uint32_t ttl_ms) {
+                                    std::uint32_t ttl_ms,
+                                    std::uint64_t generation) {
   if (!options_.enabled) return;
   Entry& entry = entry_for(address);
+  // Refreshing a live verdict only moves its deadline. It keeps the
+  // generation that learned it, so batch siblings that already see the
+  // verdict keep seeing it whichever of them runs first.
+  if (entry.edns != EdnsCapability::PlainOnly ||
+      entry.edns_retest_ms <= now_ms) {
+    entry.edns_learned_generation = generation;
+  }
   entry.edns = EdnsCapability::PlainOnly;
   entry.edns_retest_ms = now_ms + ttl_ms;
-  entry.edns_learned_ms = now_ms;
   ++stats_.edns_broken_learned;
 }
 
 void InfraCache::report_edns_ok(const sim::NodeAddress& address,
-                                sim::SimTimeMs now_ms) {
+                                std::uint64_t generation) {
   if (!options_.enabled) return;
   Entry& entry = entry_for(address);
   entry.edns = EdnsCapability::Full;
   entry.edns_retest_ms = 0;
-  entry.edns_learned_ms = now_ms;
+  entry.edns_learned_generation = generation;
 }
 
 InfraCache::EdnsCapability InfraCache::edns_capability(
     const sim::NodeAddress& address, sim::SimTimeMs now_ms,
-    bool epoch_guard) const {
+    std::uint64_t generation) const {
   if (!options_.enabled) return EdnsCapability::Unknown;
   const auto* entry = find(address);
-  if (entry == nullptr || entry->edns == EdnsCapability::Unknown) {
-    return EdnsCapability::Unknown;
-  }
-  if (epoch_guard && entry->edns_learned_ms >= now_ms) {
+  if (entry == nullptr || entry->edns == EdnsCapability::Unknown ||
+      entry->edns_learned_generation >= generation) {
     return EdnsCapability::Unknown;
   }
   if (entry->edns == EdnsCapability::PlainOnly &&
@@ -99,11 +104,6 @@ bool InfraCache::held_down(const sim::NodeAddress& address,
   if (!options_.enabled) return false;
   const auto* entry = find(address);
   return entry != nullptr && entry->hold_until_ms > now_ms;
-}
-
-double InfraCache::expected_rtt_ms(const sim::NodeAddress& address) const {
-  const auto* entry = find(address);
-  return entry == nullptr ? 0.0 : entry->srtt_ms;
 }
 
 void InfraCache::clear() { entries_.clear(); }

@@ -61,8 +61,8 @@ class InfraCache {
     /// A PlainOnly verdict expires (and the server is re-probed with
     /// EDNS) at this sim-time.
     sim::SimTimeMs edns_retest_ms = 0;
-    /// When the verdict was recorded — the epoch guard for engine jobs.
-    sim::SimTimeMs edns_learned_ms = 0;
+    /// The resolver's batch generation that recorded the verdict.
+    std::uint64_t edns_learned_generation = 0;
   };
 
   struct Stats {
@@ -83,40 +83,38 @@ class InfraCache {
   void report_success(const sim::NodeAddress& address, std::uint32_t rtt_ms);
 
   /// The address timed out or was unroutable at `now_ms`. Timeouts count
-  /// toward the hold-down streak; both back the smoothed RTT off so the
-  /// address sorts behind responsive ones.
+  /// toward the hold-down streak; both back the smoothed RTT off (the scan
+  /// report's per-server view shows it).
   void report_failure(const sim::NodeAddress& address, FailureKind kind,
                       sim::SimTimeMs now_ms);
 
   /// The address mishandled an EDNS query (FORMERR/BADVERS/garbled OPT,
-  /// or it exhausted the vendor's EDNS timeout quota): remember it as
-  /// plain-DNS-only until `now_ms + ttl_ms`, after which the verdict
-  /// expires and the next resolution re-probes with EDNS.
+  /// or it exhausted the vendor's EDNS timeout quota) during batch
+  /// `generation`: remember it as plain-DNS-only until `now_ms + ttl_ms`,
+  /// after which the verdict expires and the next resolution re-probes
+  /// with EDNS.
   void report_edns_broken(const sim::NodeAddress& address,
-                          sim::SimTimeMs now_ms, std::uint32_t ttl_ms);
+                          sim::SimTimeMs now_ms, std::uint32_t ttl_ms,
+                          std::uint64_t generation);
 
-  /// The address answered an EDNS query with a well-formed OPT.
-  void report_edns_ok(const sim::NodeAddress& address, sim::SimTimeMs now_ms);
+  /// The address answered an EDNS query with a well-formed OPT during
+  /// batch `generation`.
+  void report_edns_ok(const sim::NodeAddress& address,
+                      std::uint64_t generation);
 
-  /// The learned capability at `now_ms`. A PlainOnly verdict past its
-  /// re-probe deadline reads as Unknown (hold-down expiry triggers the
-  /// re-probe). With `epoch_guard`, verdicts recorded at or after
-  /// `now_ms` also read as Unknown: engine jobs rebase the clock, and a
-  /// verdict from a concurrent job's future must not leak into this
-  /// job's past (the DenialRange::born rule).
+  /// The capability a resolution of batch `generation` sees at `now_ms`.
+  /// Only verdicts recorded by an earlier generation are visible — a
+  /// sibling's verdict from the same batch reads as Unknown, so outcomes
+  /// do not depend on the batch's inflight width. A PlainOnly verdict
+  /// past its re-probe deadline also reads as Unknown (hold-down expiry
+  /// triggers the re-probe).
   [[nodiscard]] EdnsCapability edns_capability(const sim::NodeAddress& address,
                                               sim::SimTimeMs now_ms,
-                                              bool epoch_guard = false) const;
+                                              std::uint64_t generation) const;
 
   [[nodiscard]] const Entry* find(const sim::NodeAddress& address) const;
   [[nodiscard]] bool held_down(const sim::NodeAddress& address,
                                sim::SimTimeMs now_ms) const;
-
-  /// Ranking key for server selection. Unknown servers rank at 0 — the
-  /// BIND-style optimistic default that makes the resolver try new
-  /// servers ahead of ones with a measured (or backed-off) RTT, and keeps
-  /// configured NS order stable until real measurements disagree.
-  [[nodiscard]] double expected_rtt_ms(const sim::NodeAddress& address) const;
 
   void note_skip() { ++stats_.holddown_skips; }
 

@@ -192,32 +192,14 @@ sim::Task<RecursiveResolver::QueryResult> RecursiveResolver::query_servers(
 sim::Task<RecursiveResolver::QueryResult>
 RecursiveResolver::query_servers_uncoalesced(
     ResolutionContext& ctx, dns::Name zone,
-    const std::vector<sim::NodeAddress>& servers, dns::Name qname,
+    std::vector<sim::NodeAddress> servers, dns::Name qname,
     dns::RRType qtype) {
   QueryResult result;
   const std::string query_desc =
       qname.to_string() + " " + dns::to_string(qtype);
 
-  // Prefer servers with the lowest smoothed RTT — but only when the
-  // latency model is producing real measurements. On the instantaneous
-  // transport every reply measures 0 ms, so sorting would merely demote
-  // servers with a backed-off (failure-inflated) SRTT and silently skip
-  // the dead-server probes whose ServerTimeout findings the diagnosis
-  // (and the paper's Table 4) depends on. stable_sort keeps configured
-  // NS order among ties, so unknown servers (SRTT 0) stay put. The batch
-  // engine turns srtt_reorder off entirely (see ResolutionContext).
-  std::vector<sim::NodeAddress> candidates = servers;
-  if (ctx.srtt_reorder && infra_.options().enabled &&
-      network_->latency().enabled) {
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [&](const sim::NodeAddress& a, const sim::NodeAddress& b) {
-                       return infra_.expected_rtt_ms(a) <
-                              infra_.expected_rtt_ms(b);
-                     });
-  }
-
   std::optional<dns::Message> first_response;
-  for (const auto& server : candidates) {
+  for (const auto& server : servers) {
     if (infra_.held_down(server, network_->clock().now_ms())) {
       infra_.note_skip();
       const auto* entry = infra_.find(server);
@@ -249,13 +231,7 @@ RecursiveResolver::query_servers_uncoalesced(
     bool edns_downgraded = false;
     bool plain_probe_counted = false;
     int edns_timeouts = 0;
-    // A verdict this resolution earned itself (ctx.edns_self_plain) is
-    // always visible — the epoch guard only hides what concurrent batch
-    // siblings wrote to the shared InfraCache.
-    if (ctx.edns_self_plain.contains(server) ||
-        infra_.edns_capability(server, network_->clock().now_ms(),
-                               ctx.epoch_guard) ==
-            InfraCache::EdnsCapability::PlainOnly) {
+    if (known_plain_only(ctx, server)) {
       use_edns = false;
       edns_downgraded = true;
       plain_probe_counted = true;  // a memory hit is a skip, not a probe
@@ -334,7 +310,8 @@ RecursiveResolver::query_servers_uncoalesced(
           edns_downgraded = true;
           ctx.edns_self_plain.insert(server);
           infra_.report_edns_broken(server, network_->clock().now_ms(),
-                                    profile_.edns_dance.capability_ttl_ms);
+                                    profile_.edns_dance.capability_ttl_ms,
+                                    generation_);
         }
         timeout_ms = retry_.next_timeout(timeout_ms);
         ++attempt;
@@ -435,7 +412,7 @@ RecursiveResolver::query_servers_uncoalesced(
           edns_downgraded = true;
           ctx.edns_self_plain.insert(server);
           infra_.report_edns_broken(server, network_->clock().now_ms(),
-                                    dance.capability_ttl_ms);
+                                    dance.capability_ttl_ms, generation_);
           continue;
         }
       }
@@ -529,9 +506,10 @@ RecursiveResolver::query_servers_uncoalesced(
                   server.to_string() + ":53 ignored EDNS for " + query_desc);
       ctx.edns_self_plain.insert(server);
       infra_.report_edns_broken(server, network_->clock().now_ms(),
-                                profile_.edns_dance.capability_ttl_ms);
+                                profile_.edns_dance.capability_ttl_ms,
+                                generation_);
     } else if (use_edns) {
-      infra_.report_edns_ok(server, network_->clock().now_ms());
+      infra_.report_edns_ok(server, generation_);
     } else {
       // Degraded success: the dance (or the capability memory) got an
       // answer out of an EDNS-broken server over plain DNS. No OPT means
@@ -546,7 +524,8 @@ RecursiveResolver::query_servers_uncoalesced(
       ++hardening_.edns_degraded_success;
       ctx.edns_self_plain.insert(server);
       infra_.report_edns_broken(server, network_->clock().now_ms(),
-                                profile_.edns_dance.capability_ttl_ms);
+                                profile_.edns_dance.capability_ttl_ms,
+                                generation_);
     }
 
     // Remember an advertised RFC 9567 reporting agent.
@@ -589,10 +568,7 @@ sim::Task<std::optional<dns::Message>> RecursiveResolver::query_over_stream(
     // too, so a plain-DNS downgrade carries into the DoTCP fallback the
     // way BIND's ADB "noedns" flag does. A signed zone behind such a
     // server is unvalidatable by design — no DO bit, no RRSIGs.
-    if (!ctx.edns_self_plain.contains(server) &&
-        infra_.edns_capability(server, network_->clock().now_ms(),
-                               ctx.epoch_guard) !=
-            InfraCache::EdnsCapability::PlainOnly) {
+    if (!known_plain_only(ctx, server)) {
       edns::Edns edns;
       edns.dnssec_ok = true;
       edns.udp_payload_size = options_.edns_udp_payload;
@@ -792,18 +768,20 @@ sim::Task<Outcome> RecursiveResolver::resolve_flow(ResolutionContext& ctx,
 }
 
 Outcome RecursiveResolver::resolve(const dns::Name& qname, dns::RRType qtype) {
-  // Drive the coroutine pipeline alone on a private scheduler: every park
-  // resumes immediately at its own wake time (which, with time moving
-  // monotonically, is exactly what the old blocking wait_ms did), so this
-  // path is bit-for-bit the classic blocking resolve.
-  sim::EventScheduler sched(network_->clock());
-  ResolutionContext ctx;
-  ctx.sched = &sched;
-  auto task = resolve_flow(ctx, qname, qtype);
-  task.start();
-  while (!task.done() && sched.run_one()) {
-  }
-  return task.take();
+  Outcome outcome;
+  (void)resolve_many({{qname, qtype}}, 1,
+                     [&outcome](std::size_t, Outcome&& done) {
+                       outcome = std::move(done);
+                     });
+  return outcome;
+}
+
+bool RecursiveResolver::known_plain_only(
+    const ResolutionContext& ctx, const sim::NodeAddress& server) const {
+  return ctx.edns_self_plain.contains(server) ||
+         infra_.edns_capability(server, network_->clock().now_ms(),
+                                generation_) ==
+             InfraCache::EdnsCapability::PlainOnly;
 }
 
 sim::Task<void> RecursiveResolver::run_job(
@@ -817,9 +795,7 @@ sim::Task<void> RecursiveResolver::run_job(
   // these top-level frames are held in resolve_many's slots until join.
   ResolutionContext ctx;
   ctx.sched = &sched;
-  ctx.srtt_reorder = false;  // see ResolutionContext
   ctx.refresh = refresh;
-  ctx.epoch_guard = true;  // see ResolutionContext
   const sim::SimTimeMs started_ms = network_->clock().now_ms();
   Outcome outcome = co_await resolve_flow(ctx, std::move(qname), qtype);
   record(network_->clock().now_ms() - started_ms, std::move(outcome));
@@ -830,6 +806,7 @@ EngineReport RecursiveResolver::resolve_many(
     const std::function<void(std::size_t, Outcome&&)>& on_done) {
   EngineReport report;
   if (jobs.empty()) return report;
+  ++generation_;  // earlier batches' proofs and verdicts become visible
   report.job_duration_ms.assign(jobs.size(), 0);
   const std::size_t window = std::min(std::max<std::size_t>(inflight, 1),
                                       jobs.size());
@@ -1015,9 +992,9 @@ sim::Task<Outcome> RecursiveResolver::resolve_internal(ResolutionContext& ctx,
         if (!qname.is_subdomain_of(zone)) continue;
         for (const auto& range : ranges) {
           if (range.expires < now) continue;
-          // Batch engine: only proofs from an earlier epoch (see
-          // ResolutionContext::epoch_guard).
-          if (ctx.epoch_guard && range.born >= now) continue;
+          // Only proofs from an earlier batch generation (see
+          // resolve_many).
+          if (range.born >= generation_) continue;
           bool nxdomain = false;
           bool nodata = false;
           if (range.nsec3) {
@@ -1339,7 +1316,7 @@ sim::Task<Outcome> RecursiveResolver::resolve_internal(ResolutionContext& ctx,
             range.salt = n3->salt;
             range.iterations = n3->iterations;
             range.types = n3->types;
-            range.born = now;
+            range.born = generation_;
             range.expires = proof_expires;
             ranges.push_back(std::move(range));
           } else if (const auto* ns = std::get_if<dns::NsecRdata>(&rr.rdata)) {
@@ -1353,7 +1330,7 @@ sim::Task<Outcome> RecursiveResolver::resolve_internal(ResolutionContext& ctx,
             range.owner = rr.name;
             range.next = ns->next_domain;
             range.types = ns->types;
-            range.born = now;
+            range.born = generation_;
             range.expires = proof_expires;
             ranges.push_back(std::move(range));
           }

@@ -232,10 +232,8 @@ class RecursiveResolver {
   /// Resolve and annotate. The returned response carries the EDE options
   /// this resolver's vendor profile emits for the observed findings.
   ///
-  /// Internally the resolution is a coroutine parked on a private event
-  /// scheduler; driving it alone to completion replays exactly the
-  /// blocking behaviour this method always had (every park advances the
-  /// clock just like the old wait_ms calls did).
+  /// A one-job resolve_many(): a serial lookup is a batch of one, so it
+  /// sees exactly the facts and timeline a batch member would.
   [[nodiscard]] Outcome resolve(const dns::Name& qname, dns::RRType qtype);
 
   /// Resolve a batch with up to `inflight` resolutions multiplexed over
@@ -250,11 +248,12 @@ class RecursiveResolver {
   /// `on_done(job_index, outcome)` fires as each resolution completes, in
   /// completion order. On return the clock sits at epoch + makespan.
   ///
-  /// Engine-mode resolutions keep the configured nameserver order instead
-  /// of the SRTT sort (probe order must not depend on what other
-  /// in-flight resolutions learned first); everything else — retry,
-  /// backoff, coalescing, scrubbing, SERVFAIL caching, DoTCP fallback,
-  /// EDE semantics — is the very same coroutine resolve() drives.
+  /// Each call opens a new batch generation. Denial proofs (RFC 8198) and
+  /// EDNS capability verdicts are usable only once learned in an earlier
+  /// generation: a sibling's discovery in the same batch is visible or not
+  /// depending on scheduler interleaving, i.e. on `inflight`. Probes go
+  /// out in the configured nameserver order for the same reason — the
+  /// shared SRTT table is never used to reorder them.
   EngineReport resolve_many(
       const std::vector<ResolveJob>& jobs, std::size_t inflight,
       const std::function<void(std::size_t, Outcome&&)>& on_done);
@@ -327,29 +326,19 @@ class RecursiveResolver {
     sim::EventScheduler* sched = nullptr;
     Budget budget;
     std::map<CoalesceKey, QueryResult> coalesced;
-    /// Classic resolutions prefer servers with the lowest SRTT (see
-    /// query_servers_uncoalesced). Batch-engine resolutions keep the
-    /// configured NS order instead: the SRTT table is shared, so probe
-    /// order — and with it the per-server findings the diagnosis emits —
-    /// must not depend on what other in-flight resolutions learned first.
-    bool srtt_reorder = true;
     /// ResolveJob::refresh for this resolution (prefetch re-fetch).
     bool refresh = false;
-    /// Batch-engine resolutions only synthesize from denial proofs
-    /// captured in an earlier epoch (DenialRange::born < this job's
-    /// rebased "now"). Proofs captured by a sibling job in the same batch
-    /// are visible or not depending on scheduler interleaving — i.e. on
-    /// the inflight width — so using them would break the window-
-    /// invariance guarantee. Classic resolve() keeps the eager behavior.
-    bool epoch_guard = false;
-    /// Servers THIS resolution learned as plain-DNS-only. The epoch guard
-    /// hides same-instant InfraCache writes, but a verdict this very
-    /// resolution earned (say, on its DNSKEY sub-query) must shape its
-    /// own later queries in both engines — an A query fired in the same
-    /// virtual millisecond still has to skip the dance, exactly like the
-    /// sequential classic loop would.
+    /// Servers THIS resolution learned as plain-DNS-only. The generation
+    /// guard hides every InfraCache verdict of the current batch, but a
+    /// verdict this very resolution earned (say, on its DNSKEY sub-query)
+    /// must still shape its own later queries.
     std::set<sim::NodeAddress> edns_self_plain;
   };
+
+  /// Whether `server` is to be queried without EDNS: this resolution
+  /// learned it is plain-DNS-only, or an earlier batch generation did.
+  [[nodiscard]] bool known_plain_only(const ResolutionContext& ctx,
+                                      const sim::NodeAddress& server) const;
 
   /// Park the calling coroutine for `delay_ms` of virtual time. Mirrors
   /// the old Network::wait_ms discipline: with the latency model off the
@@ -383,7 +372,7 @@ class RecursiveResolver {
       dns::RRType qtype);
   [[nodiscard]] sim::Task<QueryResult> query_servers_uncoalesced(
       ResolutionContext& ctx, dns::Name zone,
-      const std::vector<sim::NodeAddress>& servers, dns::Name qname,
+      std::vector<sim::NodeAddress> servers, dns::Name qname,
       dns::RRType qtype);
 
   [[nodiscard]] sim::Task<Outcome> resolve_internal(ResolutionContext& ctx,
@@ -425,6 +414,10 @@ class RecursiveResolver {
   bool root_trust_ok_ = false;
   std::uint16_t next_id_ = 1;
   HardeningStats hardening_;
+  /// Batch generation: every resolve_many() call increments it. Denial
+  /// proofs and EDNS verdicts carry the generation that learned them and
+  /// are visible only to later generations (see resolve_many).
+  std::uint64_t generation_ = 0;
 
   /// Reused query-serialization scratch. The view handed to
   /// Network::send is consumed synchronously, so one arena per resolver
@@ -460,18 +453,19 @@ class RecursiveResolver {
   /// about wildcard expansion, not plain nonexistence — synthesizing
   /// NXDOMAIN across either would deny names that actually resolve.
   struct DenialRange {
-    bool nsec3 = true;
     crypto::Bytes owner_hash;  // NSEC3: hashed span endpoints
     crypto::Bytes next_hash;
     crypto::Bytes salt;
     std::uint16_t iterations = 0;
+    /// Beside `iterations` so they share padding and the 64-bit `born`
+    /// below does not grow the struct (the cache holds many thousands).
+    bool nsec3 = true;
     dns::Name owner;  // NSEC: canonical-order span endpoints
     dns::Name next;
     /// Types present at the owner, for exact-match NODATA synthesis.
     dns::TypeBitmap types;
-    /// When the proof was captured (the capturing resolution's rebased
-    /// epoch, in whole seconds) — see ResolutionContext::epoch_guard.
-    sim::SimTime born = 0;
+    /// The batch generation that captured the proof (see generation_).
+    std::uint64_t born = 0;
     /// SOA-bounded proof lifetime (min(SOA minimum, record TTL) past the
     /// capture epoch, like any RFC 2308 negative entry). Synthesized
     /// negative answers inherit this bound, never a longer one.

@@ -42,8 +42,8 @@ struct ParallelScanOptions {
   /// Optional latency model installed on every shard's network (the seed
   /// is overridden with the shard's derived seed so jitter streams stay
   /// independently reproducible, like the transport RNG). With latency on
-  /// a serial scan waits out every RTT and retry timer on the simulated
-  /// clock; scanner.inflight overlaps those waits on one worker.
+  /// a width-1 scan waits out every RTT and retry timer on the simulated
+  /// clock; a wider scanner.inflight overlaps those waits on one worker.
   std::optional<sim::LatencyModel> latency;
 };
 

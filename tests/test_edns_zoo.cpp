@@ -178,6 +178,45 @@ TEST(EdnsZoo, FormerrDanceIsCountedAndRemembered) {
   EXPECT_EQ(after.edns_formerr_seen, mid.edns_formerr_seen);
 }
 
+// Verdict visibility follows the resolve_many batch generation, not the
+// clock: with latency off a second batch runs at the very millisecond the
+// first one learned the server is plain-DNS-only, and every job in it
+// skips the dance — including the one that runs after a sibling has
+// refreshed the verdict.
+TEST(EdnsZoo, NextBatchAtTheSameInstantSkipsTheLearnedDance) {
+  EdnsWorld w;  // private: the shared world's resolvers are not involved
+  const auto& spec = spec_of(w, "edns-formerr");
+  const auto qname = w.testbed.edns_query_name(spec);
+  auto resolver = w.testbed.make_resolver(ede::resolver::profile_bind());
+  const auto run_batch = [&](std::vector<ede::dns::RRType> qtypes) {
+    std::vector<ede::resolver::ResolveJob> jobs;
+    for (const auto qtype : qtypes) jobs.push_back({qname, qtype});
+    std::vector<ede::resolver::Outcome> outcomes(jobs.size());
+    (void)resolver.resolve_many(
+        jobs, 1, [&outcomes](std::size_t index, ede::resolver::Outcome&& o) {
+          outcomes[index] = std::move(o);
+        });
+    return outcomes;
+  };
+  const auto epoch = w.clock->now_ms();
+
+  EXPECT_EQ(run_batch({Testbed::edns_qtype(spec, false)})[0].rcode,
+            ede::dns::RCode::NOERROR);
+  const HardeningStats mid = resolver.hardening_stats();
+  EXPECT_GE(mid.edns_formerr_seen, 1u);
+  EXPECT_EQ(mid.edns_capability_skips, 0u);
+  ASSERT_EQ(w.clock->now_ms(), epoch);
+
+  for (const auto& outcome :
+       run_batch({Testbed::edns_qtype(spec, true), ede::dns::RRType::MX})) {
+    EXPECT_EQ(outcome.rcode, ede::dns::RCode::NOERROR);
+  }
+  const HardeningStats after = resolver.hardening_stats();
+  EXPECT_GE(after.edns_capability_skips, mid.edns_capability_skips + 2);
+  EXPECT_EQ(after.edns_formerr_seen, mid.edns_formerr_seen);
+  EXPECT_EQ(w.clock->now_ms(), epoch);
+}
+
 // A PlainOnly verdict expires after the vendor's re-probe TTL: the next
 // contact pays for a fresh EDNS probe instead of skipping the dance.
 TEST(EdnsZoo, CapabilityExpiryTriggersReprobe) {

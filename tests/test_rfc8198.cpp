@@ -163,6 +163,49 @@ TEST_F(Rfc8198, Nsec3ProofSynthesizesAcrossTypes) {
   EXPECT_TRUE(has_ede(second, edns::EdeCode::Synthesized));
 }
 
+// Proof visibility follows the resolve_many batch generation, not the
+// clock. With latency off the clock never moves, yet a batch run right
+// after another at the very same virtual millisecond synthesizes from
+// the proofs the earlier batch captured — while siblings inside one
+// batch never see each other's proofs (that would make outcomes depend
+// on the inflight width).
+TEST_F(Rfc8198, NextBatchAtTheSameInstantSynthesizesFromTheLastOne) {
+  auto resolver = make_resolver();
+  const auto run_batch = [&resolver](std::vector<resolver::ResolveJob> jobs) {
+    std::vector<resolver::Outcome> outcomes(jobs.size());
+    (void)resolver.resolve_many(
+        jobs, jobs.size(),
+        [&outcomes](std::size_t index, resolver::Outcome&& outcome) {
+          outcomes[index] = std::move(outcome);
+        });
+    return outcomes;
+  };
+  const auto epoch = clock_->now_ms();
+
+  // bbb and charlie fall into the same flat-NSEC span, but whichever
+  // finishes first captures it too late for its sibling.
+  const auto first =
+      run_batch({{dns::Name::of("aaa.n3.test"), dns::RRType::A},
+                 {dns::Name::of("bbb.flat.test"), dns::RRType::A},
+                 {dns::Name::of("charlie.flat.test"), dns::RRType::A}});
+  for (const auto& outcome : first) {
+    ASSERT_EQ(outcome.rcode, dns::RCode::NXDOMAIN);
+    EXPECT_FALSE(has_ede(outcome, edns::EdeCode::Synthesized));
+  }
+  ASSERT_EQ(clock_->now_ms(), epoch);
+
+  const auto before = packets();
+  const auto second =
+      run_batch({{dns::Name::of("aaa.n3.test"), dns::RRType::AAAA},
+                 {dns::Name::of("delta.flat.test"), dns::RRType::A}});
+  for (const auto& outcome : second) {
+    EXPECT_EQ(outcome.rcode, dns::RCode::NXDOMAIN);
+    EXPECT_TRUE(has_ede(outcome, edns::EdeCode::Synthesized));
+  }
+  EXPECT_EQ(packets(), before);
+  EXPECT_EQ(clock_->now_ms(), epoch);
+}
+
 // RFC 5155 §6: an opt-out span may hide unsigned delegations, so it
 // proves nothing about plain nonexistence. The covered re-query must go
 // back upstream instead of being synthesized.

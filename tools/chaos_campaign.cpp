@@ -31,22 +31,18 @@
 //      edns_cases(), DESIGN.md §5i) resolved twice per case — the second
 //      contact with a flipped qtype so it bypasses the answer caches and
 //      exercises the InfraCache capability memory — must produce
-//      byte-identical (rcode, EDE set) outcomes whether driven
-//      case-by-case through resolve() or multiplexed through
-//      resolve_many() at --inflight; the same pass also sweeps randomized
-//      EDNS Byzantine mutators over the classic 63 cases under
-//      invariants 1-4.
+//      byte-identical (rcode, EDE set) outcomes at batch width 1 and at
+//      --inflight; the same pass also sweeps randomized EDNS Byzantine
+//      mutators over the classic 63 cases under invariants 1-4.
 //
 // Usage: chaos_campaign [--seeds N] [--base-seed S] [--out FILE]
 //        [--no-latency] [--hostile-tcp] [--hostile-edns] [--inflight N]
-//        [--async]
 //
-// --async drives every Byzantine pass through the event-loop engine
-// (RecursiveResolver::resolve_many, all 63 cases multiplexed in one
-// batch) instead of case-by-case blocking resolve(): the same invariants
-// must hold when thousands of resolutions share the caches concurrently.
-// The hostile-TCP passes stay case-by-case either way — invariant 5
-// reads per-resolution hardening deltas, which have no meaning when
+// Each Byzantine pass resolves its 63 cases as one
+// RecursiveResolver::resolve_many batch of width --inflight (default
+// 4096: all cases in flight at once over the shared caches). The
+// hostile-TCP passes resolve one case per batch — invariant 5 reads
+// per-resolution hardening deltas, which have no meaning when
 // resolutions interleave.
 
 #include <algorithm>
@@ -78,8 +74,7 @@ struct CampaignOptions {
   bool latency = true;
   bool hostile_tcp = false;
   bool hostile_edns = false;
-  std::size_t inflight = 4096;  // engine batch width for --hostile-edns
-  bool async = false;  // multiplex each pass through resolve_many
+  std::size_t inflight = 4096;  // resolve_many batch width of every pass
 };
 
 struct Violation {
@@ -278,14 +273,13 @@ ContactOutcome reduce_outcome(const resolver::Outcome& outcome) {
   return reduced;
 }
 
-/// Everything one engine mode's run over the EDNS zoo family produced:
+/// Everything one batch width's run over the EDNS zoo family produced:
 /// per profile, per case, the first- and second-contact outcomes, plus
 /// the per-profile pass aggregates for the report.
 struct EdnsFamilyRun {
   // profile name -> case index -> {first contact, second contact}.
   std::map<std::string, std::vector<std::array<ContactOutcome, 2>>> outcomes;
   std::map<std::string, PassResult> passes;
-  std::size_t resolutions = 0;
 };
 
 std::string json_escape(const std::string& in) {
@@ -305,12 +299,80 @@ std::string json_escape(const std::string& in) {
   return out;
 }
 
+/// Campaign-wide invariant bookkeeping shared by every pass.
+struct Tally {
+  std::vector<Violation> violations;
+  std::size_t resolutions = 0;
+  std::uint64_t max_upstream = 0;
+
+  /// Fold one outcome into `pass` and check the invariants every pass
+  /// shares: 2 (the retry budget bounds upstream work), 3 (a clean RCODE
+  /// and only registered EDE codes) and 4a (no poisoned record is ever
+  /// served to a client).
+  void check(const std::string& where, const resolver::Outcome& outcome,
+             std::uint64_t attempts_bound, PassResult& pass) {
+    ++resolutions;
+    const auto upstream =
+        static_cast<std::uint64_t>(outcome.upstream_queries);
+    pass.upstream_queries += upstream;
+    pass.max_upstream_queries = std::max(pass.max_upstream_queries, upstream);
+    max_upstream = std::max(max_upstream, upstream);
+    if (upstream > attempts_bound) {
+      violations.push_back({where, "upstream queries " +
+                                       std::to_string(upstream) +
+                                       " exceed the retry budget " +
+                                       std::to_string(attempts_bound)});
+    }
+    if (outcome.rcode != dns::RCode::NOERROR &&
+        outcome.rcode != dns::RCode::NXDOMAIN &&
+        outcome.rcode != dns::RCode::SERVFAIL) {
+      violations.push_back(
+          {where, "unexpected RCODE " + dns::to_string(outcome.rcode)});
+    }
+    pass.rcodes[dns::to_string(outcome.rcode)] += 1;
+    for (const auto& error : outcome.errors) {
+      const auto code = static_cast<std::uint16_t>(error.code);
+      pass.ede_codes[code] += 1;
+      if (!edns::is_registered(error.code)) {
+        violations.push_back(
+            {where, "unregistered EDE code " + std::to_string(code)});
+      }
+    }
+    if (owned_by_marker(outcome.response.answer) ||
+        owned_by_marker(outcome.response.authority) ||
+        owned_by_marker(outcome.response.additional)) {
+      violations.push_back(
+          {where, "poison marker served in a client response"});
+    }
+  }
+};
+
+/// Resolve `jobs` as one resolve_many batch at `width`, outcomes indexed
+/// like `jobs`.
+std::vector<resolver::Outcome> resolve_batch(
+    resolver::RecursiveResolver& resolver,
+    const std::vector<resolver::ResolveJob>& jobs, std::size_t width) {
+  std::vector<resolver::Outcome> outcomes(jobs.size());
+  (void)resolver.resolve_many(
+      jobs, width, [&outcomes](std::size_t index, resolver::Outcome&& outcome) {
+        outcomes[index] = std::move(outcome);
+      });
+  return outcomes;
+}
+
+std::string where_of(std::size_t seed, const std::string& profile,
+                     const std::string& tag, const std::string& label) {
+  return "seed=" + std::to_string(seed) + " profile=" + profile + tag +
+         " case=" + label;
+}
+
+using ScheduleDraw = std::vector<sim::ByzantineBehavior> (*)(
+    crypto::Xoshiro256&, sim::SimTime);
+
 int run_campaign(const CampaignOptions& options) {
   const auto& cases = testbed::all_cases();
   const auto profiles = resolver::all_profiles();
-  std::vector<Violation> violations;
-  std::size_t resolutions = 0;
-  std::uint64_t max_upstream_observed = 0;
+  Tally tally;
 
   // profile name -> seed -> pass aggregate (map keeps report order stable).
   std::map<std::string, std::map<std::size_t, PassResult>> passes;
@@ -330,18 +392,25 @@ int run_campaign(const CampaignOptions& options) {
     }
     testbed::Testbed testbed(network,
                              {.stream_family = options.hostile_tcp});
+    std::vector<resolver::ResolveJob> case_jobs;
+    for (const auto& spec : cases)
+      case_jobs.push_back({testbed.query_name(spec), dns::RRType::A});
 
-    for (const auto& profile : profiles) {
+    // One hostile pass per profile: every case's authority gets a mutator
+    // drawn by `draw` from a schedule RNG seeded identically for every
+    // profile (each vendor faces the identical hostile zoo, exactly like
+    // the paper's shared testbed), then all cases resolve as one batch at
+    // --inflight and every outcome is checked.
+    const auto hostile_pass = [&](const resolver::ResolverProfile& profile,
+                                  const std::string& tag,
+                                  std::uint64_t schedule_salt,
+                                  ScheduleDraw draw) {
       PassResult pass;
       auto byz_stats = std::make_shared<sim::ByzantineStats>();
       const sim::SimTime pass_start = clock->now();
-
-      // Same schedule RNG seed for every profile: each vendor faces the
-      // identical hostile zoo, exactly like the paper's shared testbed.
-      crypto::Xoshiro256 schedule_rng(campaign_seed ^ 0x5eedf00d);
-      std::size_t mutated_servers = 0;
+      crypto::Xoshiro256 schedule_rng(campaign_seed ^ schedule_salt);
       for (const auto& spec : cases) {
-        const auto behaviors = draw_schedule(schedule_rng, pass_start);
+        const auto behaviors = draw(schedule_rng, pass_start);
         const auto address = testbed.server_address(spec.label);
         if (!address.has_value()) continue;  // unroutable-glue cases
         // Mutator RNG per (case, profile) pass, derived from the schedule
@@ -349,79 +418,16 @@ int run_campaign(const CampaignOptions& options) {
         network->set_mutator(
             *address, sim::make_byzantine_mutator(behaviors, schedule_rng(),
                                                   byz_stats));
-        ++mutated_servers;
       }
 
       auto resolver = testbed.make_resolver(profile);
       const auto attempts_bound = static_cast<std::uint64_t>(
           resolver.retry_policy().max_total_attempts);
-      // Resolve all cases first — either the classic blocking loop or one
-      // multiplexed engine batch — then run the identical invariant
-      // checks over the collected outcomes.
-      std::vector<resolver::Outcome> outcomes(cases.size());
-      if (options.async) {
-        std::vector<resolver::ResolveJob> jobs;
-        jobs.reserve(cases.size());
-        for (const auto& spec : cases)
-          jobs.push_back({testbed.query_name(spec), dns::RRType::A});
-        (void)resolver.resolve_many(
-            jobs, jobs.size(),
-            [&outcomes](std::size_t index, resolver::Outcome&& outcome) {
-              outcomes[index] = std::move(outcome);
-            });
-      } else {
-        for (std::size_t i = 0; i < cases.size(); ++i) {
-          outcomes[i] =
-              resolver.resolve(testbed.query_name(cases[i]), dns::RRType::A);
-        }
-      }
+      const auto outcomes =
+          resolve_batch(resolver, case_jobs, options.inflight);
       for (std::size_t i = 0; i < cases.size(); ++i) {
-        const auto& spec = cases[i];
-        const auto& outcome = outcomes[i];
-        ++resolutions;
-        std::ostringstream where;
-        where << "seed=" << seed << " profile=" << profile.name
-              << " case=" << spec.label;
-
-        // Invariant 2: the watchdog budget bounds upstream work.
-        const auto upstream =
-            static_cast<std::uint64_t>(outcome.upstream_queries);
-        pass.upstream_queries += upstream;
-        pass.max_upstream_queries =
-            std::max(pass.max_upstream_queries, upstream);
-        max_upstream_observed = std::max(max_upstream_observed, upstream);
-        if (upstream > attempts_bound) {
-          violations.push_back({where.str(),
-                                "upstream queries " + std::to_string(upstream) +
-                                    " exceed the retry budget " +
-                                    std::to_string(attempts_bound)});
-        }
-
-        // Invariant 3: a clean RCODE and only registered EDE codes.
-        if (outcome.rcode != dns::RCode::NOERROR &&
-            outcome.rcode != dns::RCode::NXDOMAIN &&
-            outcome.rcode != dns::RCode::SERVFAIL) {
-          violations.push_back(
-              {where.str(), "unexpected RCODE " + dns::to_string(outcome.rcode)});
-        }
-        pass.rcodes[dns::to_string(outcome.rcode)] += 1;
-        for (const auto& error : outcome.errors) {
-          pass.ede_codes[static_cast<std::uint16_t>(error.code)] += 1;
-          if (!edns::is_registered(error.code)) {
-            violations.push_back(
-                {where.str(),
-                 "unregistered EDE code " +
-                     std::to_string(static_cast<std::uint16_t>(error.code))});
-          }
-        }
-
-        // Invariant 4a: no poisoned record is ever served to a client.
-        if (owned_by_marker(outcome.response.answer) ||
-            owned_by_marker(outcome.response.authority) ||
-            owned_by_marker(outcome.response.additional)) {
-          violations.push_back(
-              {where.str(), "poison marker served in a client response"});
-        }
+        tally.check(where_of(seed, profile.name, tag, cases[i].label),
+                    outcomes[i], attempts_bound, pass);
       }
 
       // Invariant 4b: no poisoned record survived into the record cache.
@@ -432,36 +438,37 @@ int run_campaign(const CampaignOptions& options) {
                 nullptr ||
             resolver.cache().get_stale_positive(sim::poison_marker(), type,
                                                 now) != nullptr) {
-          std::ostringstream where;
-          where << "seed=" << seed << " profile=" << profile.name;
-          violations.push_back(
-              {where.str(), "poison marker cached as " + dns::to_string(type)});
+          tally.violations.push_back(
+              {"seed=" + std::to_string(seed) + " profile=" + profile.name +
+                   tag,
+               "poison marker cached as " + dns::to_string(type)});
         }
       }
 
       pass.hardening = resolver.hardening_stats();
       pass.byzantine = *byz_stats;
-      passes[profile.name][seed] = std::move(pass);
-      (void)mutated_servers;
+      passes[profile.name + tag][seed] = std::move(pass);
 
-      // Leave no mutators behind for the next profile's pass (it installs
-      // its own fresh set above, but cases without an address must stay
-      // clean).
+      // Leave no mutators behind for the next pass (it installs its own
+      // fresh set, but cases without an address must stay clean).
       for (const auto& spec : cases) {
         if (const auto address = testbed.server_address(spec.label)) {
           network->set_mutator(*address, nullptr);
         }
       }
+    };
+
+    for (const auto& profile : profiles) {
+      hostile_pass(profile, "", 0x5eedf00d, draw_schedule);
     }
 
     if (options.hostile_edns) {
       // ---- EDNS-compliance zoo passes (DESIGN.md §5i) ------------------
       // (a) The calibrated family: every case resolved twice per profile
       // (the second contact with a flipped qtype, so it misses the answer
-      // caches and reads the InfraCache capability memory instead), in a
-      // fresh identically-seeded world per engine mode. Classic resolve()
-      // and resolve_many() at --inflight must agree exactly.
-      const auto run_family = [&](bool use_engine) {
+      // caches and reads the InfraCache capability memory the first batch
+      // taught it), in a fresh identically-seeded world per batch width.
+      const auto run_family = [&](std::size_t width) {
         EdnsFamilyRun run;
         auto family_clock = std::make_shared<sim::Clock>();
         auto family_network =
@@ -474,84 +481,28 @@ int run_campaign(const CampaignOptions& options) {
         testbed::Testbed family_testbed(family_network,
                                         {.edns_family = true});
         const auto& especs = family_testbed.edns_case_specs();
+        const std::string tag =
+            " [edns-zoo width=" + std::to_string(width) + "]";
         for (const auto& profile : profiles) {
           PassResult pass;
           auto resolver = family_testbed.make_resolver(profile);
           const auto attempts_bound = static_cast<std::uint64_t>(
               resolver.retry_policy().max_total_attempts);
-          std::vector<std::array<resolver::Outcome, 2>> got(especs.size());
-          for (const bool second : {false, true}) {
-            if (use_engine) {
-              std::vector<resolver::ResolveJob> jobs;
-              jobs.reserve(especs.size());
-              for (const auto& spec : especs) {
-                jobs.push_back({family_testbed.edns_query_name(spec),
-                                testbed::Testbed::edns_qtype(spec, second)});
-              }
-              (void)resolver.resolve_many(
-                  jobs, options.inflight,
-                  [&got, second](std::size_t index,
-                                 resolver::Outcome&& outcome) {
-                    got[index][second ? 1 : 0] = std::move(outcome);
-                  });
-              // The engine's virtual timeline can end the batch at the
-              // very instant the capability verdicts were learned; step
-              // past it so the second batch's epoch guard reads them.
-              family_clock->advance_ms(1);
-            } else {
-              for (std::size_t i = 0; i < especs.size(); ++i) {
-                got[i][second ? 1 : 0] = resolver.resolve(
-                    family_testbed.edns_query_name(especs[i]),
-                    testbed::Testbed::edns_qtype(especs[i], second));
-              }
-            }
-          }
           auto& reduced = run.outcomes[profile.name];
           reduced.resize(especs.size());
-          for (std::size_t i = 0; i < especs.size(); ++i) {
-            for (int contact = 0; contact < 2; ++contact) {
-              const auto& outcome =
-                  got[i][static_cast<std::size_t>(contact)];
-              ++run.resolutions;
-              std::ostringstream where;
-              where << "seed=" << seed << " profile=" << profile.name
-                    << " [edns-zoo" << (use_engine ? " engine" : "")
-                    << "] case=" << especs[i].label
-                    << (contact == 0 ? " first" : " second");
-              const auto upstream =
-                  static_cast<std::uint64_t>(outcome.upstream_queries);
-              pass.upstream_queries += upstream;
-              pass.max_upstream_queries =
-                  std::max(pass.max_upstream_queries, upstream);
-              max_upstream_observed =
-                  std::max(max_upstream_observed, upstream);
-              if (upstream > attempts_bound) {
-                violations.push_back(
-                    {where.str(),
-                     "upstream queries " + std::to_string(upstream) +
-                         " exceed the retry budget " +
-                         std::to_string(attempts_bound)});
-              }
-              if (outcome.rcode != dns::RCode::NOERROR &&
-                  outcome.rcode != dns::RCode::NXDOMAIN &&
-                  outcome.rcode != dns::RCode::SERVFAIL) {
-                violations.push_back(
-                    {where.str(),
-                     "unexpected RCODE " + dns::to_string(outcome.rcode)});
-              }
-              pass.rcodes[dns::to_string(outcome.rcode)] += 1;
-              for (const auto& error : outcome.errors) {
-                pass.ede_codes[static_cast<std::uint16_t>(error.code)] += 1;
-                if (!edns::is_registered(error.code)) {
-                  violations.push_back(
-                      {where.str(),
-                       "unregistered EDE code " +
-                           std::to_string(
-                               static_cast<std::uint16_t>(error.code))});
-                }
-              }
-              reduced[i][static_cast<std::size_t>(contact)] =
-                  reduce_outcome(outcome);
+          for (const std::size_t contact : {0, 1}) {
+            std::vector<resolver::ResolveJob> jobs;
+            for (const auto& spec : especs) {
+              jobs.push_back(
+                  {family_testbed.edns_query_name(spec),
+                   testbed::Testbed::edns_qtype(spec, contact == 1)});
+            }
+            const auto outcomes = resolve_batch(resolver, jobs, width);
+            for (std::size_t i = 0; i < especs.size(); ++i) {
+              tally.check(where_of(seed, profile.name, tag, especs[i].label) +
+                              (contact == 0 ? " first" : " second"),
+                          outcomes[i], attempts_bound, pass);
+              reduced[i][contact] = reduce_outcome(outcomes[i]);
             }
           }
           pass.hardening = resolver.hardening_stats();
@@ -560,111 +511,37 @@ int run_campaign(const CampaignOptions& options) {
         return run;
       };
 
-      auto classic_run = run_family(/*use_engine=*/false);
-      const auto engine_run = run_family(/*use_engine=*/true);
-      resolutions += classic_run.resolutions + engine_run.resolutions;
+      auto serial_run = run_family(1);
+      const auto wide_run = run_family(options.inflight);
 
-      // Invariant 6: the engine is outcome-equivalent to the classic
-      // loop, capability memory included.
+      // Invariant 6: the batch width never changes an outcome, capability
+      // memory included.
       const auto& especs = testbed::edns_cases();
-      for (const auto& [name, rows] : classic_run.outcomes) {
-        const auto& engine_rows = engine_run.outcomes.at(name);
+      for (const auto& [name, rows] : serial_run.outcomes) {
+        const auto& wide_rows = wide_run.outcomes.at(name);
         for (std::size_t i = 0; i < rows.size(); ++i) {
           for (std::size_t contact = 0; contact < 2; ++contact) {
-            if (rows[i][contact] == engine_rows[i][contact]) continue;
-            std::ostringstream where;
-            where << "seed=" << seed << " profile=" << name
-                  << " [edns-zoo] case=" << especs[i].label
-                  << (contact == 0 ? " first" : " second");
-            violations.push_back(
-                {where.str(), "engine diverges from classic: " +
-                                  rows[i][contact].to_string() + " vs " +
-                                  engine_rows[i][contact].to_string()});
+            if (rows[i][contact] == wide_rows[i][contact]) continue;
+            tally.violations.push_back(
+                {where_of(seed, name, " [edns-zoo]", especs[i].label) +
+                     (contact == 0 ? " first" : " second"),
+                 "width " + std::to_string(options.inflight) +
+                     " diverges from width 1: " +
+                     rows[i][contact].to_string() + " vs " +
+                     wide_rows[i][contact].to_string()});
           }
         }
       }
-      for (auto& [name, pass] : classic_run.passes) {
+      for (auto& [name, pass] : serial_run.passes) {
         passes[name + " [edns-zoo]"][seed] = std::move(pass);
       }
-      if (seed == 0) zoo_outcomes = std::move(classic_run.outcomes);
+      if (seed == 0) zoo_outcomes = std::move(serial_run.outcomes);
 
       // (b) Randomized EDNS pathologies over the classic 63 cases: the
       // same invariants as the main Byzantine pass, with the mutator zoo
       // restricted to the OPT-layer kinds.
       for (const auto& profile : profiles) {
-        PassResult pass;
-        auto byz_stats = std::make_shared<sim::ByzantineStats>();
-        const sim::SimTime pass_start = clock->now();
-        crypto::Xoshiro256 schedule_rng(campaign_seed ^ 0xed25ed);
-        for (const auto& spec : cases) {
-          const auto address = testbed.server_address(spec.label);
-          if (!address.has_value()) continue;
-          network->set_mutator(
-              *address,
-              sim::make_byzantine_mutator(
-                  draw_edns_schedule(schedule_rng, pass_start),
-                  schedule_rng(), byz_stats));
-        }
-
-        auto resolver = testbed.make_resolver(profile);
-        const auto attempts_bound = static_cast<std::uint64_t>(
-            resolver.retry_policy().max_total_attempts);
-        for (const auto& spec : cases) {
-          const auto outcome =
-              resolver.resolve(testbed.query_name(spec), dns::RRType::A);
-          ++resolutions;
-          std::ostringstream where;
-          where << "seed=" << seed << " profile=" << profile.name
-                << " [hostile-edns] case=" << spec.label;
-
-          const auto upstream =
-              static_cast<std::uint64_t>(outcome.upstream_queries);
-          pass.upstream_queries += upstream;
-          pass.max_upstream_queries =
-              std::max(pass.max_upstream_queries, upstream);
-          max_upstream_observed = std::max(max_upstream_observed, upstream);
-          if (upstream > attempts_bound) {
-            violations.push_back(
-                {where.str(),
-                 "upstream queries " + std::to_string(upstream) +
-                     " exceed the retry budget " +
-                     std::to_string(attempts_bound)});
-          }
-          if (outcome.rcode != dns::RCode::NOERROR &&
-              outcome.rcode != dns::RCode::NXDOMAIN &&
-              outcome.rcode != dns::RCode::SERVFAIL) {
-            violations.push_back(
-                {where.str(),
-                 "unexpected RCODE " + dns::to_string(outcome.rcode)});
-          }
-          pass.rcodes[dns::to_string(outcome.rcode)] += 1;
-          for (const auto& error : outcome.errors) {
-            pass.ede_codes[static_cast<std::uint16_t>(error.code)] += 1;
-            if (!edns::is_registered(error.code)) {
-              violations.push_back(
-                  {where.str(),
-                   "unregistered EDE code " +
-                       std::to_string(
-                           static_cast<std::uint16_t>(error.code))});
-            }
-          }
-          if (owned_by_marker(outcome.response.answer) ||
-              owned_by_marker(outcome.response.authority) ||
-              owned_by_marker(outcome.response.additional)) {
-            violations.push_back(
-                {where.str(), "poison marker served in a client response"});
-          }
-        }
-
-        pass.hardening = resolver.hardening_stats();
-        pass.byzantine = *byz_stats;
-        passes[profile.name + " [hostile-edns]"][seed] = std::move(pass);
-
-        for (const auto& spec : cases) {
-          if (const auto address = testbed.server_address(spec.label)) {
-            network->set_mutator(*address, nullptr);
-          }
-        }
+        hostile_pass(profile, " [hostile-edns]", 0xed25ed, draw_edns_schedule);
       }
     }
 
@@ -691,56 +568,37 @@ int run_campaign(const CampaignOptions& options) {
       auto resolver = testbed.make_resolver(profile);
       const auto attempts_bound = static_cast<std::uint64_t>(
           resolver.retry_policy().max_total_attempts);
+      // One resolution per batch: invariant 5 reads per-resolution
+      // hardening deltas, which have no meaning when resolutions
+      // interleave.
       for (const auto& spec : cases) {
-        const auto qname = testbed.query_name(spec);
         const resolver::HardeningStats before = resolver.hardening_stats();
-        const auto outcome = resolver.resolve(qname, dns::RRType::A);
+        const auto outcome =
+            resolver.resolve(testbed.query_name(spec), dns::RRType::A);
         const resolver::HardeningStats after = resolver.hardening_stats();
-        ++resolutions;
-        std::ostringstream where;
-        where << "seed=" << seed << " profile=" << profile.name
-              << " [hostile-tcp] case=" << spec.label;
-
-        const auto upstream =
-            static_cast<std::uint64_t>(outcome.upstream_queries);
-        pass.upstream_queries += upstream;
-        pass.max_upstream_queries =
-            std::max(pass.max_upstream_queries, upstream);
-        max_upstream_observed = std::max(max_upstream_observed, upstream);
-        if (upstream > attempts_bound) {
-          violations.push_back({where.str(),
-                                "upstream queries " + std::to_string(upstream) +
-                                    " exceed the retry budget " +
-                                    std::to_string(attempts_bound)});
-        }
-
-        pass.rcodes[dns::to_string(outcome.rcode)] += 1;
-        bool has_transport_ede = false;
-        for (const auto& error : outcome.errors) {
-          pass.ede_codes[static_cast<std::uint16_t>(error.code)] += 1;
-          const auto code = static_cast<std::uint16_t>(error.code);
-          has_transport_ede |= code == 22 || code == 23;
-          if (!edns::is_registered(error.code)) {
-            violations.push_back(
-                {where.str(), "unregistered EDE code " + std::to_string(code)});
-          }
-        }
+        const auto where =
+            where_of(seed, profile.name, " [hostile-tcp]", spec.label);
+        tally.check(where, outcome, attempts_bound, pass);
 
         // Invariant 5: a TC bit followed by a failed stream retry must
         // never present as a silent success — and the profiles that map
         // the transport defects must say why (EDE 22 or 23).
+        bool has_transport_ede = false;
+        for (const auto& error : outcome.errors) {
+          const auto code = static_cast<std::uint16_t>(error.code);
+          has_transport_ede |= code == 22 || code == 23;
+        }
         const std::uint64_t tc_delta = after.tc_seen - before.tc_seen;
         const std::uint64_t success_delta =
             after.tcp_success - before.tcp_success;
         if (tc_delta > 0 && success_delta == 0) {
           if (outcome.rcode == dns::RCode::NOERROR) {
-            violations.push_back(
-                {where.str(), "silent NOERROR after a failed DoTCP fallback"});
+            tally.violations.push_back(
+                {where, "silent NOERROR after a failed DoTCP fallback"});
           }
           if (maps_transport && !has_transport_ede) {
-            violations.push_back(
-                {where.str(),
-                 "failed stream retry surfaced neither EDE 22 nor 23"});
+            tally.violations.push_back(
+                {where, "failed stream retry surfaced neither EDE 22 nor 23"});
           }
         }
       }
@@ -765,10 +623,10 @@ int run_campaign(const CampaignOptions& options) {
        << ", \"seeds\": " << options.seeds
        << ", \"base_seed\": " << options.base_seed
        << ", \"latency\": " << (options.latency ? "true" : "false")
-       << ", \"async\": " << (options.async ? "true" : "false") << "},\n";
-  json << "  \"invariants\": {\"resolutions\": " << resolutions
-       << ", \"violations\": " << violations.size()
-       << ", \"max_upstream_queries\": " << max_upstream_observed << "},\n";
+       << ", \"inflight\": " << options.inflight << "},\n";
+  json << "  \"invariants\": {\"resolutions\": " << tally.resolutions
+       << ", \"violations\": " << tally.violations.size()
+       << ", \"max_upstream_queries\": " << tally.max_upstream << "},\n";
   json << "  \"profiles\": [\n";
   bool first_profile = true;
   for (const auto& [name, seeds] : passes) {
@@ -886,10 +744,11 @@ int run_campaign(const CampaignOptions& options) {
     json << "\n  ],\n";
   }
   json << "  \"violation_details\": [";
-  for (std::size_t i = 0; i < violations.size(); ++i) {
+  for (std::size_t i = 0; i < tally.violations.size(); ++i) {
     if (i != 0) json << ", ";
-    json << "{\"where\": \"" << json_escape(violations[i].where)
-         << "\", \"what\": \"" << json_escape(violations[i].what) << "\"}";
+    json << "{\"where\": \"" << json_escape(tally.violations[i].where)
+         << "\", \"what\": \"" << json_escape(tally.violations[i].what)
+         << "\"}";
   }
   json << "]\n}\n";
 
@@ -905,14 +764,14 @@ int run_campaign(const CampaignOptions& options) {
     out << json.str();
   }
 
-  std::cerr << "chaos_campaign: " << resolutions << " resolutions ("
+  std::cerr << "chaos_campaign: " << tally.resolutions << " resolutions ("
             << cases.size() << " cases x " << profiles.size()
             << " profiles x " << options.seeds << " seeds), "
-            << violations.size() << " invariant violations\n";
-  for (const auto& v : violations) {
+            << tally.violations.size() << " invariant violations\n";
+  for (const auto& v : tally.violations) {
     std::cerr << "  VIOLATION [" << v.where << "] " << v.what << "\n";
   }
-  return violations.empty() ? 0 : 1;
+  return tally.violations.empty() ? 0 : 1;
 }
 
 }  // namespace
@@ -937,12 +796,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--inflight" && i + 1 < argc) {
       options.inflight = static_cast<std::size_t>(std::strtoull(argv[++i],
                                                                 nullptr, 10));
-    } else if (arg == "--async") {
-      options.async = true;
     } else {
       std::cerr << "usage: chaos_campaign [--seeds N] [--base-seed S] "
                    "[--out FILE] [--no-latency] [--hostile-tcp] "
-                   "[--hostile-edns] [--inflight N] [--async]\n";
+                   "[--hostile-edns] [--inflight N]\n";
       return 2;
     }
   }
