@@ -24,11 +24,14 @@ namespace {
 
 constexpr std::uint32_t kDefaultNegativeTtl = 300;
 
-void add_finding(std::vector<Finding>& findings, Stage stage, Defect defect,
-                 std::string detail = {}) {
-  Finding f{stage, defect, std::move(detail)};
+void add_finding(std::vector<Finding>& findings, Finding f) {
   if (std::find(findings.begin(), findings.end(), f) == findings.end())
     findings.push_back(std::move(f));
+}
+
+void add_finding(std::vector<Finding>& findings, Stage stage, Defect defect,
+                 std::string detail = {}) {
+  add_finding(findings, {stage, defect, std::move(detail)});
 }
 
 /// The NS owner in the authority section when the response is a referral
@@ -715,10 +718,7 @@ sim::Task<std::vector<sim::NodeAddress>> RecursiveResolver::resolve_ns_addresses
     // the original query's diagnosis (the paper's "unreachable DNS
     // provider" cases).
     for (const auto& f : sub.findings) {
-      if (f.stage == Stage::Transport) {
-        if (std::find(findings.begin(), findings.end(), f) == findings.end())
-          findings.push_back(f);
-      }
+      if (f.stage == Stage::Transport) add_finding(findings, f);
     }
     for (const auto& rr : sub.response.answer) {
       if (const auto* a = std::get_if<dns::ARdata>(&rr.rdata))
@@ -988,33 +988,42 @@ sim::Task<Outcome> RecursiveResolver::resolve_internal(ResolutionContext& ctx,
                        neg->security);
     }
     if (options_.aggressive_nsec_caching) {
-      for (const auto& [zone, ranges] : denial_cache_) {
-        if (!qname.is_subdomain_of(zone)) continue;
+      // The qname's NSEC3 hash, once per distinct (salt, iterations).
+      std::vector<std::pair<const DenialRange*, crypto::Bytes>> hashes;
+      // Root-down walk over the enclosing names: one exact probe each, in
+      // the canonical order the enclosing zones would sort in.
+      for (std::size_t k = 0; k <= qname.label_count(); ++k) {
+        const auto found = denial_cache_.find(qname.suffix(k));
+        if (found == denial_cache_.end()) continue;
+        const auto& [zone, ranges] = *found;
         for (const auto& range : ranges) {
           if (range.expires < now) continue;
           // Only proofs from an earlier batch generation (see
           // resolve_many).
           if (range.born >= generation_) continue;
-          bool nxdomain = false;
-          bool nodata = false;
+          const crypto::Bytes* hash = nullptr;
           if (range.nsec3) {
-            const auto hash = dnssec::nsec3_hash(
-                qname, crypto::BytesView{range.salt}, range.iterations);
-            if (hash == range.owner_hash) {
-              nodata = !range.types.contains(qtype) &&
-                       !range.types.contains(dns::RRType::CNAME);
-            } else {
-              nxdomain = dnssec::nsec3_covers(range.owner_hash,
-                                              range.next_hash, hash);
+            auto h = std::ranges::find_if(hashes, [&](const auto& e) {
+              return e.first->iterations == range.iterations &&
+                     e.first->salt == range.salt;
+            });
+            if (h == hashes.end()) {
+              h = hashes.emplace(h, &range,
+                                 dnssec::nsec3_hash(
+                                     qname, crypto::BytesView{range.salt},
+                                     range.iterations));
             }
-          } else {
-            if (range.owner == qname) {
-              nodata = !range.types.contains(qtype) &&
-                       !range.types.contains(dns::RRType::CNAME);
-            } else {
-              nxdomain = dnssec::nsec_covers(range.owner, range.next, qname);
-            }
+            hash = &h->second;
           }
+          const bool at_owner =
+              hash ? *hash == range.owner_hash : range.owner == qname;
+          const bool nodata = at_owner && !range.types.contains(qtype) &&
+                              !range.types.contains(dns::RRType::CNAME);
+          const bool nxdomain =
+              !at_owner &&
+              (hash ? dnssec::nsec3_covers(range.owner_hash, range.next_hash,
+                                           *hash)
+                    : dnssec::nsec_covers(range.owner, range.next, qname));
           if (!nxdomain && !nodata) continue;
           // The synthesized negative inherits the proof's SOA-bounded
           // lifetime — never a fresh negative-TTL window of its own.
@@ -1113,16 +1122,11 @@ sim::Task<Outcome> RecursiveResolver::resolve_internal(ResolutionContext& ctx,
   // may reveal (RFC 9156: one more than the zone we are asking).
   std::size_t min_labels = current_zone.label_count() + 1;
 
-  const auto minimized_suffix = [](const dns::Name& name,
-                                   std::size_t labels) {
-    return name.suffix(labels);
-  };
-
   for (int hop = 0; hop < options_.max_referrals; ++hop) {
     dns::Name query_name = target;
     dns::RRType query_type = qtype;
     if (options_.qname_minimization) {
-      query_name = minimized_suffix(target, min_labels);
+      query_name = target.suffix(min_labels);
       if (!(query_name == target)) query_type = dns::RRType::NS;
     }
 
@@ -1132,11 +1136,7 @@ sim::Task<Outcome> RecursiveResolver::resolve_internal(ResolutionContext& ctx,
     outcome.trace.push_back({current_zone, query_name, query_type, ""});
     auto& step = outcome.trace.back();
     if (qr.report_agent.has_value()) outcome.report_agent = qr.report_agent;
-    for (auto& f : qr.findings) {
-      if (std::find(outcome.findings.begin(), outcome.findings.end(), f) ==
-          outcome.findings.end())
-        outcome.findings.push_back(std::move(f));
-    }
+    for (auto& f : qr.findings) add_finding(outcome.findings, std::move(f));
     if (!qr.response) {
       step.note = "no usable response from any server";
       co_return fail_with_stale();
@@ -1230,11 +1230,8 @@ sim::Task<Outcome> RecursiveResolver::resolve_internal(ResolutionContext& ctx,
         outcome.upstream_queries += key_qr.queries;
         if (key_qr.report_agent.has_value())
           outcome.report_agent = key_qr.report_agent;
-        for (auto& f : key_qr.findings) {
-          if (std::find(outcome.findings.begin(), outcome.findings.end(),
-                        f) == outcome.findings.end())
-            outcome.findings.push_back(std::move(f));
-        }
+        for (auto& f : key_qr.findings)
+          add_finding(outcome.findings, std::move(f));
         if (!key_qr.response) {
           add_finding(outcome.findings, Stage::DnskeyTrust,
                       Defect::DnskeyFetchFailed,

@@ -12,6 +12,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <unordered_map>
 
 #include "dnscore/arena.hpp"
 #include "dnscore/message.hpp"
@@ -427,19 +428,15 @@ class RecursiveResolver {
 
   /// Delegation/trust cache: validated zone contexts so repeated
   /// resolutions skip the healthy upper levels of the hierarchy (what real
-  /// resolvers call infrastructure caching).
+  /// resolvers call infrastructure caching). Keyed by exact zone name
+  /// (case-insensitive); seed_context probes the qname's enclosing names.
   struct ZoneContext {
     std::vector<sim::NodeAddress> servers;
     std::vector<dns::DnskeyRdata> keys;
     bool secure = false;
     sim::SimTime expires = 0;
   };
-  struct NameCanonicalLess {
-    bool operator()(const dns::Name& a, const dns::Name& b) const {
-      return a.canonical_compare(b) == std::strong_ordering::less;
-    }
-  };
-  std::map<dns::Name, ZoneContext, NameCanonicalLess> zone_cache_;
+  std::unordered_map<dns::Name, ZoneContext, dns::NameHash> zone_cache_;
 
   /// RFC 9567 rate limiting: report QNAMEs already sent this cache
   /// lifetime.
@@ -471,7 +468,11 @@ class RecursiveResolver {
     /// negative answers inherit this bound, never a longer one.
     sim::SimTime expires = 0;
   };
-  std::map<dns::Name, std::vector<DenialRange>, NameCanonicalLess>
+  /// Keyed by exact zone name (case-insensitive). A lookup probes the
+  /// qname's enclosing names root-down, which visits the enclosing zones
+  /// in canonical order, so the first covering span in the shallowest
+  /// zone answers; nothing iterates the whole map.
+  std::unordered_map<dns::Name, std::vector<DenialRange>, dns::NameHash>
       denial_cache_;
 };
 

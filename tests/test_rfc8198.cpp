@@ -206,6 +206,74 @@ TEST_F(Rfc8198, NextBatchAtTheSameInstantSynthesizesFromTheLastOne) {
   EXPECT_EQ(clock_->now_ms(), epoch);
 }
 
+// Zone keys and span endpoints compare case-insensitively: a qname in
+// another letter case reaches the zone's cached proofs and synthesizes
+// from them, both for a hashed NSEC3 span and for a flat NSEC span.
+TEST_F(Rfc8198, QnameInAnotherCaseSynthesizesFromTheSameProof) {
+  auto resolver = make_resolver();
+  ASSERT_EQ(resolver.resolve(dns::Name::of("aaa.n3.test"), dns::RRType::A)
+                .rcode,
+            dns::RCode::NXDOMAIN);
+  ASSERT_EQ(resolver.resolve(dns::Name::of("bbb.flat.test"), dns::RRType::A)
+                .rcode,
+            dns::RCode::NXDOMAIN);
+
+  const auto before = packets();
+  const auto hashed =
+      resolver.resolve(dns::Name::of("AAA.N3.Test"), dns::RRType::AAAA);
+  EXPECT_EQ(hashed.rcode, dns::RCode::NXDOMAIN);
+  EXPECT_TRUE(has_ede(hashed, edns::EdeCode::Synthesized));
+  const auto flat =
+      resolver.resolve(dns::Name::of("Charlie.FLAT.test"), dns::RRType::A);
+  EXPECT_EQ(flat.rcode, dns::RCode::NXDOMAIN);
+  EXPECT_TRUE(has_ede(flat, edns::EdeCode::Synthesized));
+  EXPECT_EQ(packets(), before);
+}
+
+// A proof is found through every enclosing name of the qname, not only
+// its parent: a name several labels below the apex of flat.test falls
+// into the span alpha.flat.test -> ns1.flat.test and synthesizes locally.
+TEST_F(Rfc8198, NamesSeveralLabelsBelowTheApexReachTheZoneSpans) {
+  auto resolver = make_resolver();
+  ASSERT_EQ(resolver.resolve(dns::Name::of("bbb.flat.test"), dns::RRType::A)
+                .rcode,
+            dns::RCode::NXDOMAIN);
+
+  const auto before = packets();
+  const auto deep = resolver.resolve(
+      dns::Name::of("www.deep.er.charlie.flat.test"), dns::RRType::A);
+  EXPECT_EQ(deep.rcode, dns::RCode::NXDOMAIN);
+  EXPECT_TRUE(has_ede(deep, edns::EdeCode::Synthesized));
+  EXPECT_EQ(packets(), before);
+}
+
+// Proofs belong to the zone that signed them. zzz.flat.test is denied by
+// the last NSEC of flat.test, ns1.flat.test -> flat.test, which wraps
+// around and so covers every name that sorts after ns1.flat.test —
+// n3.test and all its children included. Used outside flat.test it
+// would deny n3.test's existing apex and synthesize its NXDOMAINs; both
+// must still come from n3.test's own servers.
+TEST_F(Rfc8198, SiblingZoneProofsAreNeverUsed) {
+  auto resolver = make_resolver();
+  ASSERT_EQ(resolver.resolve(dns::Name::of("zzz.flat.test"), dns::RRType::A)
+                .rcode,
+            dns::RCode::NXDOMAIN);
+
+  auto before = packets();
+  const auto apex = resolver.resolve(dns::Name::of("n3.test"), dns::RRType::A);
+  EXPECT_EQ(apex.rcode, dns::RCode::NOERROR);
+  EXPECT_FALSE(apex.response.answer.empty());
+  EXPECT_FALSE(has_ede(apex, edns::EdeCode::Synthesized));
+  EXPECT_GT(packets(), before);
+
+  before = packets();
+  const auto missing =
+      resolver.resolve(dns::Name::of("aaa.n3.test"), dns::RRType::A);
+  EXPECT_EQ(missing.rcode, dns::RCode::NXDOMAIN);
+  EXPECT_FALSE(has_ede(missing, edns::EdeCode::Synthesized));
+  EXPECT_GT(packets(), before);
+}
+
 // RFC 5155 §6: an opt-out span may hide unsigned delegations, so it
 // proves nothing about plain nonexistence. The covered re-query must go
 // back upstream instead of being synthesized.
