@@ -9,7 +9,9 @@
 // one worker per hardware thread (each with its own simulated network and
 // resolver stack; see src/scan/parallel.hpp). --json writes a
 // perf_baseline_scan.json-shaped measurement document that
-// tools/perf_smoke.py --scan gates against the committed baseline.
+// tools/perf_smoke.py --scan gates against the committed baseline; its
+// "counters" object carries every ScanResult counter under its dotted
+// name (src/obs/counters.hpp).
 //
 // --inflight N turns the per-link latency model ON and multiplexes up to
 // N resolutions per worker over the async engine (resolve_many): the
@@ -23,6 +25,7 @@
 #include <sstream>
 #include <string>
 
+#include "obs/counters.hpp"
 #include "scan/export.hpp"
 #include "scan/report.hpp"
 
@@ -54,7 +57,6 @@ void parse_scan_args(int argc, char** argv, ede::scan::PopulationConfig& config,
 std::string measurement_json(const ede::scan::ParallelScanResult& scan,
                              std::size_t total_domains, std::size_t shards,
                              std::size_t inflight) {
-  const auto& h = scan.merged.hardening;
   std::ostringstream out;
   out << "{\n  \"benchmarks\": [\n    {\n"
       << "      \"name\": \"sec42_wild_scan/" << total_domains
@@ -78,11 +80,9 @@ std::string measurement_json(const ede::scan::ParallelScanResult& scan,
   out << "      \"wall_seconds_end_to_end\": " << scan.wall_seconds << ",\n"
       << "      \"domains_per_second\": "
       << static_cast<std::uint64_t>(scan.merged_qps()) << ",\n"
-      << "      \"hardening\": {\"rejected_qid_mismatch\": "
-      << h.rejected_qid_mismatch
-      << ", \"rejected_oversize\": " << h.rejected_oversize
-      << ", \"scrubbed_records\": " << h.scrubbed_records << "}\n"
-      << "    }\n  ]\n}\n";
+      << "      \"counters\": ";
+  ede::obs::write_json(out, "      ", scan.merged);
+  out << "\n    }\n  ]\n}\n";
   return out.str();
 }
 
@@ -135,9 +135,8 @@ int main(int argc, char** argv) {
               ede::scan::dead_provider_count(population));
   std::printf("infra cache           : %llu held down, %llu probes avoided "
               "(retry: %u ms initial, x%.1f backoff, %d/server)\n",
-              static_cast<unsigned long long>(
-                  result.transport.holddowns_started),
-              static_cast<unsigned long long>(result.transport.holddown_skips),
+              static_cast<unsigned long long>(result.infra.holddowns_started),
+              static_cast<unsigned long long>(result.infra.holddown_skips),
               profile.retry.initial_timeout_ms, profile.retry.backoff_factor,
               profile.retry.attempts_per_server);
   if (inflight > 0) {

@@ -25,7 +25,9 @@
 // --report writes the deterministic serving report (byte-stable for a
 // fixed seed: tools/verify.sh cmp's two runs). --json writes the
 // wall-clock measurement document tools/perf_smoke.py --serve gates
-// against bench/perf_baseline_serve.json.
+// against bench/perf_baseline_serve.json; its "counters" object carries
+// the main pass's ServeStats and the deltas of every counter set under
+// the front end, each under its dotted name (src/obs/counters.hpp).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -38,6 +40,7 @@
 #include <tuple>
 #include <vector>
 
+#include "obs/counters.hpp"
 #include "resolver/profile.hpp"
 #include "resolver/resolver.hpp"
 #include "scan/export.hpp"
@@ -45,6 +48,7 @@
 #include "serve/frontend.hpp"
 #include "serve/report.hpp"
 #include "serve/stubs.hpp"
+#include "simnet/stream.hpp"
 
 namespace {
 
@@ -112,8 +116,29 @@ ServingStack make_stack(const scan::Population& population,
   return stack;
 }
 
+/// Every counter source under a serving stack's front end: a snapshot
+/// before and after a pass, one subtraction, and the pass's deltas.
+#define EDE_STACK_COUNTERS(C, N)          \
+  N(sim::Network::Stats, network)         \
+  N(sim::StreamStats, stream)             \
+  N(resolver::InfraCache::Stats, infra)   \
+  N(resolver::Cache::Stats, cache)        \
+  N(resolver::HardeningStats, hardening)
+struct StackCounters {
+  EDE_COUNTER_SET(StackCounters, "stack", EDE_STACK_COUNTERS)
+};
+
+StackCounters snapshot(const ServingStack& stack) {
+  return {.network = stack.network->stats(),
+          .stream = stack.network->stream().stats(),
+          .infra = stack.resolver->infra().stats(),
+          .cache = stack.resolver->cache().stats(),
+          .hardening = stack.resolver->hardening_stats()};
+}
+
 struct PassResult {
   serve::RunSummary summary;
+  StackCounters counters;
   double wall_seconds = 0.0;
 };
 
@@ -122,20 +147,16 @@ PassResult run_pass(const std::string& label,
                     const serve::StubTrace& trace, const BenchConfig& config,
                     bool prefetch, bool aggressive) {
   auto stack = make_stack(population, config, prefetch, aggressive);
-  const auto cache_before = stack.resolver->cache().stats();
+  const auto before = snapshot(stack);
   const auto start = std::chrono::steady_clock::now();
   const auto answers = stack.frontend->serve(trace);
   const auto wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  auto cache_delta = stack.resolver->cache().stats();
-  cache_delta.lookups -= cache_before.lookups;
-  cache_delta.hits -= cache_before.hits;
-  cache_delta.misses -= cache_before.misses;
-  cache_delta.stale_hits -= cache_before.stale_hits;
   PassResult result;
-  result.summary = serve::summarize_run(label, answers,
-                                        stack.frontend->stats(), cache_delta);
+  result.counters = snapshot(stack) - before;
+  result.summary = serve::summarize_run(
+      label, answers, stack.frontend->stats(), result.counters.cache);
   result.wall_seconds = wall;
   return result;
 }
@@ -288,8 +309,8 @@ serve::OutageSummary run_outage(const scan::Population& population,
 }
 
 std::string measurement_json(const BenchConfig& config,
-                             std::size_t trace_queries, double wall_seconds,
-                             double qps) {
+                             std::size_t trace_queries,
+                             const PassResult& pass, double qps) {
   std::ostringstream out;
   out << "{\n  \"benchmarks\": [\n    {\n"
       << "      \"name\": \"serve_qps/" << config.domains << "/clients:"
@@ -297,9 +318,11 @@ std::string measurement_json(const BenchConfig& config,
       << "      \"domains\": " << config.domains << ",\n"
       << "      \"clients\": " << config.stub.clients << ",\n"
       << "      \"trace_queries\": " << trace_queries << ",\n"
-      << "      \"wall_seconds\": " << wall_seconds << ",\n"
+      << "      \"wall_seconds\": " << pass.wall_seconds << ",\n"
       << "      \"queries_per_second\": " << static_cast<std::uint64_t>(qps)
-      << "\n    }\n  ]\n}\n";
+      << ",\n      \"counters\": ";
+  obs::write_json(out, "      ", pass.summary.stats, pass.counters);
+  out << "\n    }\n  ]\n}\n";
   return out.str();
 }
 
@@ -409,7 +432,7 @@ int main(int argc, char** argv) {
   if (!config.json_path.empty()) {
     if (!scan::write_file(config.json_path,
                           measurement_json(config, trace.queries.size(),
-                                           main_pass.wall_seconds, qps)))
+                                           main_pass, qps)))
       return 1;
     std::printf("measurement written to %s\n", config.json_path.c_str());
   }

@@ -10,6 +10,7 @@
 
 #include "dnscore/rr.hpp"
 #include "dnssec/findings.hpp"
+#include "obs/counters.hpp"
 #include "simnet/clock.hpp"
 
 namespace ede::resolver {
@@ -123,26 +124,20 @@ class Cache {
   ///   the fallback of a fresh lookup that already booked the miss, so
   ///   re-counting here double-counted the same logical lookup (the old
   ///   behaviour made hits + misses + stale_hits drift above lookups).
+  ///
+  /// Shard deltas fold by plain sums, which preserves the invariant
+  /// since it holds per shard.
+#define EDE_CACHE_COUNTERS(C, N)                                   \
+  C(lookups)                                                       \
+  C(hits)                                                          \
+  C(misses)                                                        \
+  C(stale_hits)                                                    \
+  /** Swept past the stale horizon. */                             \
+  C(evicted_expired)                                               \
+  /** Live but oldest-expiring when the cache was at capacity. */  \
+  C(evicted_capacity)
   struct Stats {
-    std::uint64_t lookups = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t stale_hits = 0;
-    std::uint64_t evicted_expired = 0;   // swept past the stale horizon
-    std::uint64_t evicted_capacity = 0;  // live but oldest-expiring at cap
-
-    /// Fold another delta in (scan shards aggregate cache activity this
-    /// way; preserves the hits + misses + stale_hits == lookups
-    /// invariant since it holds per shard). S1-checked: every counter
-    /// must be summed here and rendered in a report.
-    void merge(const Stats& other) {
-      lookups += other.lookups;
-      hits += other.hits;
-      misses += other.misses;
-      stale_hits += other.stale_hits;
-      evicted_expired += other.evicted_expired;
-      evicted_capacity += other.evicted_capacity;
-    }
+    EDE_COUNTER_SET(Stats, "resolver.cache", EDE_CACHE_COUNTERS)
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 

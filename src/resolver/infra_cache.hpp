@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <unordered_map>
 
+#include "obs/counters.hpp"
 #include "simnet/address.hpp"
 #include "simnet/clock.hpp"
 
@@ -65,12 +66,16 @@ class InfraCache {
     std::uint64_t edns_learned_generation = 0;
   };
 
+#define EDE_INFRA_COUNTERS(C, N)                 \
+  C(holddowns_started)                           \
+  /** Candidate probes avoided. */               \
+  C(holddown_skips)                              \
+  C(successes)                                   \
+  C(failures)                                    \
+  /** PlainOnly verdicts recorded. */            \
+  C(edns_broken_learned)
   struct Stats {
-    std::uint64_t holddowns_started = 0;
-    std::uint64_t holddown_skips = 0;  // candidate probes avoided
-    std::uint64_t successes = 0;
-    std::uint64_t failures = 0;
-    std::uint64_t edns_broken_learned = 0;  // PlainOnly verdicts recorded
+    EDE_COUNTER_SET(Stats, "resolver.infra", EDE_INFRA_COUNTERS)
   };
 
   explicit InfraCache(Options options) : options_(options) {}

@@ -19,6 +19,7 @@
 #include "dnscore/rdata.hpp"
 #include "dnssec/validate.hpp"
 #include "edns/ede.hpp"
+#include "obs/counters.hpp"
 #include "resolver/cache.hpp"
 #include "resolver/infra_cache.hpp"
 #include "resolver/profile.hpp"
@@ -90,75 +91,54 @@ struct ResolverOptions {
 /// Counters for the Byzantine-hardening pipeline: the response-acceptance
 /// gate, the bailiwick scrubber, SERVFAIL-cache serves and in-flight
 /// coalescing. All monotonically increasing over a resolver's lifetime;
-/// the scan engine snapshots deltas per domain and merges them across
-/// shards.
+/// each Scanner::run call snapshots the delta over its batch, and shard
+/// deltas recombine by plain sums.
+#define EDE_HARDENING_COUNTERS(C, N)                                       \
+  /** Replies dropped because the transaction ID did not match (or the QR \
+      bit was missing) — off-path spoof attempts and corrupted IDs. */     \
+  C(rejected_qid_mismatch)                                                 \
+  /** Replies dropped because the question section did not echo ours. */  \
+  C(rejected_question_mismatch)                                            \
+  /** Replies dropped for exceeding the advertised EDNS payload size. */   \
+  C(rejected_oversize)                                                     \
+  /** Records removed by the bailiwick scrubber across all sections. */    \
+  C(scrubbed_records)                                                      \
+  /** Probes answered from the in-flight coalescing memo. */               \
+  C(coalesced_queries)                                                     \
+  /** Resolutions short-circuited by a live cached SERVFAIL (RFC 2308). */ \
+  C(servfail_cache_hits)                                                   \
+  /** Probe batches cut short by the per-resolution watchdog budget. */    \
+  C(watchdog_trips)                                                        \
+  /* --- DoTCP fallback (RFC 7766) --- */                                  \
+  /** TC=1 responses observed (each switches the query to the stream). */  \
+  C(tc_seen)                                                               \
+  /** Stream fallbacks started (one per TC response acted upon). */        \
+  C(tcp_fallbacks)                                                         \
+  /** Stream fallbacks that produced an accepted full answer. */           \
+  C(tcp_success)                                                           \
+  /** Stream connections refused or timed out during the handshake. */     \
+  C(tcp_connect_failures)                                                  \
+  /** Streams that died after connecting: stalls, mid-stream closes,       \
+      garbage framing, frames that never completed. */                     \
+  C(tcp_stream_failures)                                                   \
+  /* --- EDNS probe-and-fallback (RFC 6891, DESIGN.md §5i) --- */          \
+  /** FORMERR replies to queries carrying OPT (the pre-EDNS-server         \
+      tell). */                                                            \
+  C(edns_formerr_seen)                                                     \
+  /** BADVERS replies to EDNS version 0. */                                \
+  C(edns_badvers_seen)                                                     \
+  /** Responses whose OPT was garbled (undecodable) or duplicated. */     \
+  C(edns_garbled_opt)                                                      \
+  /** Plain-DNS fallback probes actually sent after a downgrade latch. */  \
+  C(edns_fallback_probes)                                                  \
+  /** Accepted answers obtained without EDNS (degraded: no DO, no          \
+      RRSIGs). */                                                          \
+  C(edns_degraded_success)                                                 \
+  /** Dances skipped outright because the InfraCache already knew the      \
+      server as plain-DNS-only (capability memory hit). */                 \
+  C(edns_capability_skips)
 struct HardeningStats {
-  /// Replies dropped because the transaction ID did not match (or the QR
-  /// bit was missing) — off-path spoof attempts and corrupted IDs.
-  std::uint64_t rejected_qid_mismatch = 0;
-  /// Replies dropped because the question section did not echo ours.
-  std::uint64_t rejected_question_mismatch = 0;
-  /// Replies dropped for exceeding the advertised EDNS payload size.
-  std::uint64_t rejected_oversize = 0;
-  /// Records removed by the bailiwick scrubber across all sections.
-  std::uint64_t scrubbed_records = 0;
-  /// Probes answered from the in-flight coalescing memo.
-  std::uint64_t coalesced_queries = 0;
-  /// Resolutions short-circuited by a live cached SERVFAIL (RFC 2308).
-  std::uint64_t servfail_cache_hits = 0;
-  /// Probe batches cut short by the per-resolution watchdog budget.
-  std::uint64_t watchdog_trips = 0;
-  // --- DoTCP fallback (RFC 7766) -------------------------------------
-  /// TC=1 responses observed (each switches the query to the stream).
-  std::uint64_t tc_seen = 0;
-  /// Stream fallbacks started (one per TC response acted upon).
-  std::uint64_t tcp_fallbacks = 0;
-  /// Stream fallbacks that produced an accepted full answer.
-  std::uint64_t tcp_success = 0;
-  /// Stream connections refused or timed out during the handshake.
-  std::uint64_t tcp_connect_failures = 0;
-  /// Streams that died after connecting: stalls, mid-stream closes,
-  /// garbage framing, frames that never completed.
-  std::uint64_t tcp_stream_failures = 0;
-  // --- EDNS probe-and-fallback (RFC 6891, DESIGN.md §5i) --------------
-  /// FORMERR replies to queries carrying OPT (the pre-EDNS-server tell).
-  std::uint64_t edns_formerr_seen = 0;
-  /// BADVERS replies to EDNS version 0.
-  std::uint64_t edns_badvers_seen = 0;
-  /// Responses whose OPT was garbled (undecodable rdata) or duplicated.
-  std::uint64_t edns_garbled_opt = 0;
-  /// Plain-DNS fallback probes actually sent after a downgrade latch.
-  std::uint64_t edns_fallback_probes = 0;
-  /// Accepted answers obtained without EDNS (degraded: no DO, no RRSIGs).
-  std::uint64_t edns_degraded_success = 0;
-  /// Dances skipped outright because the InfraCache already knew the
-  /// server as plain-DNS-only (capability memory hit).
-  std::uint64_t edns_capability_skips = 0;
-
-  /// Fold another tally into this one (shard deltas recombine by plain
-  /// sums). ede_lint's S1 rule holds every counter above to "summed here
-  /// AND surfaced in a report renderer" — adding a counter without
-  /// touching both trips the tree lint.
-  void merge(const HardeningStats& other) {
-    rejected_qid_mismatch += other.rejected_qid_mismatch;
-    rejected_question_mismatch += other.rejected_question_mismatch;
-    rejected_oversize += other.rejected_oversize;
-    scrubbed_records += other.scrubbed_records;
-    coalesced_queries += other.coalesced_queries;
-    servfail_cache_hits += other.servfail_cache_hits;
-    watchdog_trips += other.watchdog_trips;
-    tc_seen += other.tc_seen;
-    tcp_fallbacks += other.tcp_fallbacks;
-    tcp_success += other.tcp_success;
-    tcp_connect_failures += other.tcp_connect_failures;
-    tcp_stream_failures += other.tcp_stream_failures;
-    edns_formerr_seen += other.edns_formerr_seen;
-    edns_badvers_seen += other.edns_badvers_seen;
-    edns_garbled_opt += other.edns_garbled_opt;
-    edns_fallback_probes += other.edns_fallback_probes;
-    edns_degraded_success += other.edns_degraded_success;
-    edns_capability_skips += other.edns_capability_skips;
-  }
+  EDE_COUNTER_SET(HardeningStats, "resolver.hardening", EDE_HARDENING_COUNTERS)
 };
 
 /// One queued resolution for RecursiveResolver::resolve_many().

@@ -95,16 +95,19 @@ std::string render_section42(const ScanResult& result,
     }
   }
 
-  const auto& t = result.transport;
-  out << "\ntransport: " << t.packets_sent << " packets ("
-      << t.retransmits << " retransmits, " << t.timeouts << " timeouts, "
-      << t.unreachable << " unreachable";
-  if (t.corrupted != 0) out << ", " << t.corrupted << " corrupted";
-  if (t.rate_limited != 0) out << ", " << t.rate_limited << " rate-limited";
+  const auto& net = result.network;
+  out << "\ntransport: " << net.packets_sent << " packets ("
+      << net.retransmits << " retransmits, " << net.packets_timeout
+      << " timeouts, " << net.packets_unreachable << " unreachable";
+  if (net.corrupted != 0) out << ", " << net.corrupted << " corrupted";
+  if (net.rate_limited != 0)
+    out << ", " << net.rate_limited << " rate-limited";
   out << ")\n";
-  if (t.holddown_skips != 0 || t.holddowns_started != 0) {
-    out << "infra cache: " << t.holddowns_started << " servers held down, "
-        << t.holddown_skips << " probes avoided\n";
+  const auto& infra = result.infra;
+  if (infra.holddown_skips != 0 || infra.holddowns_started != 0) {
+    out << "infra cache: " << infra.holddowns_started
+        << " servers held down, " << infra.holddown_skips
+        << " probes avoided\n";
   }
   const auto& h = result.hardening;
   out << "hardening: " << h.servfail_cache_hits << " cached SERVFAILs, "
@@ -131,14 +134,14 @@ std::string render_section42(const ScanResult& result,
   if (h.edns_formerr_seen != 0 || h.edns_badvers_seen != 0 ||
       h.edns_garbled_opt != 0 || h.edns_fallback_probes != 0 ||
       h.edns_degraded_success != 0 || h.edns_capability_skips != 0 ||
-      t.edns_broken_learned != 0) {
+      infra.edns_broken_learned != 0) {
     out << "edns compliance: " << h.edns_fallback_probes
         << " plain-DNS probes, " << h.edns_degraded_success
         << " degraded answers\n"
         << "  rejections: " << h.edns_formerr_seen << " FORMERR-on-OPT, "
         << h.edns_badvers_seen << " BADVERS, " << h.edns_garbled_opt
         << " garbled/duplicate OPT\n"
-        << "  capability memory: " << t.edns_broken_learned
+        << "  capability memory: " << infra.edns_broken_learned
         << " servers learned plain-only, " << h.edns_capability_skips
         << " dances skipped\n";
   }

@@ -11,8 +11,11 @@
 #include <chrono>
 #include <map>
 
+#include "obs/counters.hpp"
 #include "resolver/cache.hpp"
+#include "resolver/infra_cache.hpp"
 #include "resolver/resolver.hpp"
+#include "simnet/network.hpp"
 #include "scan/world.hpp"
 
 namespace ede::scan {
@@ -32,59 +35,37 @@ struct RankedDomain {
   bool noerror = false;
 };
 
-/// What the adversarial transport saw during the scan (deltas over the
-/// network's counters, so scans sharing a Network don't double-count).
-struct TransportStats {
-  std::uint64_t packets_sent = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t unreachable = 0;
-  std::uint64_t corrupted = 0;
-  std::uint64_t rate_limited = 0;
-  std::uint64_t holddown_skips = 0;  // probes the infra cache avoided
-  std::uint64_t holddowns_started = 0;
-  /// Servers the infra cache branded plain-DNS-only (RFC 6891 fallback
-  /// verdicts learned during the scan; a delta like the holddown pair).
-  std::uint64_t edns_broken_learned = 0;
-
-  /// Fold another shard's deltas in (plain sums). S1-checked: every
-  /// counter must be summed here and rendered in a report.
-  void merge(const TransportStats& other) {
-    packets_sent += other.packets_sent;
-    retransmits += other.retransmits;
-    timeouts += other.timeouts;
-    unreachable += other.unreachable;
-    corrupted += other.corrupted;
-    rate_limited += other.rate_limited;
-    holddown_skips += other.holddown_skips;
-    holddowns_started += other.holddowns_started;
-    edns_broken_learned += other.edns_broken_learned;
-  }
-};
+/// The scan's counters. The embedded sets are deltas over the resolver
+/// stack's own counters, taken once per Scanner::run call, so scans that
+/// share a Network or resolver do not double-count.
+#define EDE_SCAN_COUNTERS(C, N)                                            \
+  C(total_domains)                                                         \
+  C(domains_with_ede)                                                      \
+  C(noerror_with_ede)                                                      \
+  C(servfail_domains)                                                      \
+  /** Domains triggering EDE 22 and/or 23. */                              \
+  C(lame_union)                                                            \
+  C(upstream_queries)                                                      \
+  /** What the adversarial transport saw during the scan. */               \
+  N(sim::Network::Stats, network)                                          \
+  /** Hold-downs and the RFC 6891 plain-DNS verdicts learned. */           \
+  N(resolver::InfraCache::Stats, infra)                                    \
+  N(resolver::Cache::Stats, record_cache)                                  \
+  /** What the Byzantine-hardening pipeline did. On the fault-free scan    \
+      world the Mangle pool's rewritten questions keep                     \
+      rejected_question_mismatch hot while the spoof-shaped rejections     \
+      (bad QID, oversize) stay zero; coalescing and SERVFAIL-cache         \
+      counters are per-domain deterministic and therefore                  \
+      shard-count-invariant. */                                            \
+  N(resolver::HardeningStats, hardening)
 
 struct ScanResult {
-  std::size_t total_domains = 0;
-  std::size_t domains_with_ede = 0;
-  std::size_t noerror_with_ede = 0;
-  std::size_t servfail_domains = 0;
-  std::size_t lame_union = 0;  // domains triggering EDE 22 and/or 23
+  EDE_COUNTERS(ScanResult, "scan", EDE_SCAN_COUNTERS)
   std::map<std::uint16_t, CodeStats> per_code;
   std::vector<TldOutcome> per_tld;        // parallel to population.tlds
   std::vector<RankedDomain> tranco_hits;  // EDE-triggering ranked domains
   std::map<Category, std::map<std::uint16_t, std::size_t>>
       codes_by_category;  // diagnostic cross-tab
-  std::uint64_t upstream_queries = 0;
-  TransportStats transport;
-  /// What the record cache did during the scan — deltas over the cache's
-  /// own counters, so the type is the cache's Stats itself rather than a
-  /// field-for-field clone (they drifted apart once already).
-  resolver::Cache::Stats record_cache;
-  /// What the Byzantine-hardening pipeline did during the scan (deltas
-  /// over the resolver's counters, like TransportStats). On the fault-free
-  /// scan world the gate/scrub counters stay zero — asserted by tests and
-  /// the perf smoke gate — while coalescing/SERVFAIL-cache counters are
-  /// per-domain deterministic and therefore shard-count-invariant.
-  resolver::HardeningStats hardening;
   /// Host elapsed time — nondeterministic, for bench reporting only.
   double wall_seconds = 0.0;
   /// Simulated-clock elapsed time — deterministic under the sim network

@@ -18,6 +18,7 @@
 
 #include "dnscore/name.hpp"
 #include "dnscore/types.hpp"
+#include "obs/counters.hpp"
 #include "resolver/resolver.hpp"
 #include "serve/sketch.hpp"
 #include "serve/stubs.hpp"
@@ -62,45 +63,36 @@ struct ClientAnswer {
   bool stale = false;
 };
 
+#define EDE_SERVE_COUNTERS(C, N)                                          \
+  /** Trace entries processed. */                                         \
+  C(queries)                                                              \
+  /** Answered (queries - suppressed). */                                 \
+  C(served)                                                               \
+  C(suppressed_retries)                                                   \
+  C(live_retransmits)                                                     \
+  /** Duplicate (qname, qtype) within a wave folded into one resolution. */ \
+  C(coalesced)                                                            \
+  /** Served in 0 virtual ms. */                                          \
+  C(cache_answered)                                                       \
+  C(synthesized_answers)                                                  \
+  C(stale_answers)                                                        \
+  C(stale_nxdomains)                                                      \
+  /** Upstream queries spent on client-facing resolutions vs. on the      \
+      prefetcher's refreshes (the prefetcher pays to move hits up). */    \
+  C(upstream_queries)                                                     \
+  C(prefetch_upstream_queries)                                            \
+  C(prefetch_jobs)                                                        \
+  C(waves)                                                                \
+  /** Sum of wave makespans: virtual ms the engine spent resolving. */    \
+  C(busy_virtual_ms)
 struct ServeStats {
-  std::uint64_t queries = 0;  // trace entries processed
-  std::uint64_t served = 0;   // answered (queries - suppressed)
-  std::uint64_t suppressed_retries = 0;
-  std::uint64_t live_retransmits = 0;
-  /// Duplicate (qname, qtype) within a wave folded into one resolution.
-  std::uint64_t coalesced = 0;
-  std::uint64_t cache_answered = 0;  // served in 0 virtual ms
-  std::uint64_t synthesized_answers = 0;
-  std::uint64_t stale_answers = 0;
-  std::uint64_t stale_nxdomains = 0;
-  /// Upstream queries spent on client-facing resolutions vs. on the
-  /// prefetcher's refreshes (the prefetcher pays to move hits up).
-  std::uint64_t upstream_queries = 0;
-  std::uint64_t prefetch_upstream_queries = 0;
-  std::uint64_t prefetch_jobs = 0;
-  std::uint64_t waves = 0;
-  /// Sum of wave makespans: virtual time the engine spent resolving.
-  sim::SimTimeMs busy_virtual_ms = 0;
+  EDE_COUNTERS(ServeStats, "serve", EDE_SERVE_COUNTERS)
+  /// Longest single wave: a gauge, so merge takes the max.
   sim::SimTimeMs longest_wave_ms = 0;
 
-  /// Fold another run's stats in — counters sum, the wave high-water
-  /// mark takes the max (the report's all-runs totals line uses this).
-  /// S1-checked: every counter must be folded here and rendered.
+  /// Fold another run's stats in (the report's all-runs totals line).
   void merge(const ServeStats& other) {
-    queries += other.queries;
-    served += other.served;
-    suppressed_retries += other.suppressed_retries;
-    live_retransmits += other.live_retransmits;
-    coalesced += other.coalesced;
-    cache_answered += other.cache_answered;
-    synthesized_answers += other.synthesized_answers;
-    stale_answers += other.stale_answers;
-    stale_nxdomains += other.stale_nxdomains;
-    upstream_queries += other.upstream_queries;
-    prefetch_upstream_queries += other.prefetch_upstream_queries;
-    prefetch_jobs += other.prefetch_jobs;
-    waves += other.waves;
-    busy_virtual_ms += other.busy_virtual_ms;
+    obs::add(*this, other);
     longest_wave_ms = std::max(longest_wave_ms, other.longest_wave_ms);
   }
 };

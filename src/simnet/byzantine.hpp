@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "dnscore/name.hpp"
+#include "obs/counters.hpp"
 #include "simnet/network.hpp"
 
 namespace ede::sim {
@@ -150,9 +151,13 @@ struct ByzantineBehavior {
 
 /// Shared tally across every mutator holding a reference to it; the chaos
 /// campaign uses one per (profile, seed) run to report what actually fired.
+#define EDE_BYZANTINE_COUNTERS(C, N)             \
+  /** Responses offered to a mutator. */         \
+  C(exchanges_seen)                              \
+  /** Behaviors that actually fired. */          \
+  C(mutations_applied)
 struct ByzantineStats {
-  std::uint64_t exchanges_seen = 0;      // responses offered to a mutator
-  std::uint64_t mutations_applied = 0;   // behaviors that actually fired
+  EDE_COUNTERS(ByzantineStats, "sim.byzantine", EDE_BYZANTINE_COUNTERS)
   std::array<std::uint64_t, kByzantineKindCount> by_kind{};
 
   void count(ByzantineKind kind) {
@@ -161,11 +166,9 @@ struct ByzantineStats {
   }
 
   /// Fold another tally in (the chaos campaign sums per-seed stats into
-  /// campaign-wide totals). S1-checked like every merge-bearing stats
-  /// struct: counters must be summed here and rendered in a report.
+  /// campaign-wide totals).
   void merge(const ByzantineStats& other) {
-    exchanges_seen += other.exchanges_seen;
-    mutations_applied += other.mutations_applied;
+    obs::add(*this, other);
     for (std::size_t k = 0; k < by_kind.size(); ++k)
       by_kind[k] += other.by_kind[k];
   }

@@ -26,6 +26,7 @@
 
 #include "crypto/bytes.hpp"
 #include "crypto/rng.hpp"
+#include "obs/counters.hpp"
 #include "simnet/address.hpp"
 #include "simnet/clock.hpp"
 
@@ -236,15 +237,20 @@ class Network {
   [[nodiscard]] const Clock& clock() const { return *clock_; }
 
   // --- statistics ----------------------------------------------------
+#define EDE_NETWORK_COUNTERS(C, N)                        \
+  C(packets_sent)                                         \
+  C(packets_delivered)                                    \
+  C(packets_unreachable)                                  \
+  C(packets_timeout)                                      \
+  C(retransmits)                                          \
+  /** Responses mangled by Fault::corrupt. */             \
+  C(corrupted)                                            \
+  /** Queries answered REFUSED by a rate limiter. */      \
+  C(rate_limited)                                         \
+  /** Responses tampered with by a mutator. */            \
+  C(mutated)
   struct Stats {
-    std::uint64_t packets_sent = 0;
-    std::uint64_t packets_delivered = 0;
-    std::uint64_t packets_unreachable = 0;
-    std::uint64_t packets_timeout = 0;
-    std::uint64_t retransmits = 0;
-    std::uint64_t corrupted = 0;     // responses mangled by Fault::corrupt
-    std::uint64_t rate_limited = 0;  // queries answered REFUSED by a limiter
-    std::uint64_t mutated = 0;       // responses tampered with by a mutator
+    EDE_COUNTER_SET(Stats, "sim.network", EDE_NETWORK_COUNTERS)
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }

@@ -104,21 +104,26 @@ struct StreamBehavior {
 };
 
 /// Transport-wide tallies, mirroring Network::Stats for the stream side.
+#define EDE_STREAM_COUNTERS(C, N)                                 \
+  C(connects_attempted)                                           \
+  C(connects_established)                                         \
+  C(connects_refused)                                             \
+  /** SYN swallowed: times out at the client. */                  \
+  C(connects_dropped)                                             \
+  C(exchanges)                                                    \
+  C(frames_delivered)                                             \
+  C(segments_sent)                                                \
+  /** Retransmitted, never actually lost. */                      \
+  C(segments_lost)                                                \
+  C(stalls)                                                       \
+  C(mid_closes)                                                   \
+  C(garbage_frames)                                               \
+  C(forged_answers)                                               \
+  C(idle_closes)                                                  \
+  /** Responses tampered with by a ResponseMutator. */            \
+  C(mutated)
 struct StreamStats {
-  std::uint64_t connects_attempted = 0;
-  std::uint64_t connects_established = 0;
-  std::uint64_t connects_refused = 0;
-  std::uint64_t connects_dropped = 0;  // SYN swallowed: times out at client
-  std::uint64_t exchanges = 0;
-  std::uint64_t frames_delivered = 0;
-  std::uint64_t segments_sent = 0;
-  std::uint64_t segments_lost = 0;  // retransmitted, never actually lost
-  std::uint64_t stalls = 0;
-  std::uint64_t mid_closes = 0;
-  std::uint64_t garbage_frames = 0;
-  std::uint64_t forged_answers = 0;
-  std::uint64_t idle_closes = 0;
-  std::uint64_t mutated = 0;  // responses tampered with by a ResponseMutator
+  EDE_COUNTER_SET(StreamStats, "sim.stream", EDE_STREAM_COUNTERS)
 };
 
 /// Wrap one DNS message in the RFC 1035 §4.2.2 two-byte length prefix.

@@ -231,12 +231,12 @@ TEST(ChaosScan, InfraCacheSavesPacketsWithoutChangingTheDiagnosis) {
   EXPECT_EQ(with_infra.lame_union, without_infra.lame_union);
 
   // Measurably cheaper: held-down dead servers stop eating retransmissions.
-  EXPECT_GT(with_infra.transport.holddown_skips, 0u);
-  EXPECT_EQ(without_infra.transport.holddown_skips, 0u);
-  EXPECT_LT(with_infra.transport.packets_sent,
-            without_infra.transport.packets_sent);
-  EXPECT_LT(with_infra.transport.retransmits,
-            without_infra.transport.retransmits);
+  EXPECT_GT(with_infra.infra.holddown_skips, 0u);
+  EXPECT_EQ(without_infra.infra.holddown_skips, 0u);
+  EXPECT_LT(with_infra.network.packets_sent,
+            without_infra.network.packets_sent);
+  EXPECT_LT(with_infra.network.retransmits,
+            without_infra.network.retransmits);
 }
 
 // The SERVFAIL cache (RFC 2308) and the infra-cache hold-down both sit in

@@ -5,6 +5,13 @@
 // runs to prove the workers share nothing mutable.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
+#include "obs/counters.hpp"
 #include "scan/parallel.hpp"
 #include "scan/report.hpp"
 #include "scan/world.hpp"
@@ -22,7 +29,7 @@ PopulationConfig tiny_config() {
 }
 
 /// Field-by-field equality of everything the paper's figures are built
-/// from. Deliberately *excludes* wall/sim times and the transport and
+/// from. Deliberately *excludes* wall/sim times and the network, infra and
 /// upstream-query counters: those measure per-worker cache warm-up, which
 /// legitimately varies with the shard count.
 void expect_same_aggregates(const ScanResult& a, const ScanResult& b) {
@@ -62,7 +69,7 @@ void expect_same_aggregates(const ScanResult& a, const ScanResult& b) {
   // (the scan world's misbehaviors are scripted per server, not random),
   // so like the classification they must be shard-count-invariant. Only
   // transport-timing-dependent counters (QID/oversize rejections under a
-  // corrupting fault) are excluded, mirroring the transport stats above.
+  // corrupting fault) are excluded, mirroring the network stats above.
   EXPECT_EQ(a.hardening.rejected_question_mismatch,
             b.hardening.rejected_question_mismatch);
   EXPECT_EQ(a.hardening.scrubbed_records, b.hardening.scrubbed_records);
@@ -73,7 +80,7 @@ void expect_same_aggregates(const ScanResult& a, const ScanResult& b) {
   // are per-response facts of scripted servers, shard-count-invariant
   // like the gate counters above. The capability-memory counters
   // (verdicts learned, dances skipped) are deliberately NOT compared:
-  // like the transport stats, they measure per-worker InfraCache warm-up
+  // like the network stats, they measure per-worker InfraCache warm-up
   // — every shard re-learns the timeout pools for itself.
   EXPECT_EQ(a.hardening.edns_formerr_seen, b.hardening.edns_formerr_seen);
   EXPECT_EQ(a.hardening.edns_badvers_seen, b.hardening.edns_badvers_seen);
@@ -203,10 +210,20 @@ TEST(ParallelScan, InflightWindowDoesNotChangeTheAggregates) {
   }
 }
 
-// The merged hardening counters are exactly the sum over the shards, and
-// the scan world actually exercises the response-acceptance gate: its
-// Mangle pool answers with a rewritten question, so the question-mismatch
-// counter must be hot — these assertions are not vacuous.
+/// Every counter of a set as (dotted name, value), in declaration order.
+template <typename Set>
+std::vector<std::pair<std::string, std::uint64_t>> dump(const Set& set) {
+  std::vector<std::pair<std::string, std::uint64_t>> out;
+  obs::for_each(set, [&out](std::string_view name, std::uint64_t value) {
+    out.emplace_back(name, value);
+  });
+  return out;
+}
+
+// Every merged counter of every embedded set is exactly the sum over the
+// shards, and the scan world actually exercises the response-acceptance
+// gate: its Mangle pool answers with a rewritten question, so the
+// question-mismatch counter must be hot — these assertions are not vacuous.
 TEST(ParallelScan, HardeningCountersSumAcrossShards) {
   const auto population = generate_population(tiny_config());
   ParallelScanOptions options;
@@ -215,27 +232,17 @@ TEST(ParallelScan, HardeningCountersSumAcrossShards) {
       run_parallel_scan(population, resolver::profile_cloudflare(), options);
   ASSERT_EQ(scan.shards.size(), 4u);
 
-  resolver::HardeningStats sum;
-  for (const auto& shard : scan.shards) {
-    const auto& h = shard.result.hardening;
-    sum.rejected_qid_mismatch += h.rejected_qid_mismatch;
-    sum.rejected_question_mismatch += h.rejected_question_mismatch;
-    sum.rejected_oversize += h.rejected_oversize;
-    sum.scrubbed_records += h.scrubbed_records;
-    sum.coalesced_queries += h.coalesced_queries;
-    sum.servfail_cache_hits += h.servfail_cache_hits;
-    sum.watchdog_trips += h.watchdog_trips;
-  }
-  const auto& merged = scan.merged.hardening;
-  EXPECT_EQ(merged.rejected_qid_mismatch, sum.rejected_qid_mismatch);
-  EXPECT_EQ(merged.rejected_question_mismatch,
-            sum.rejected_question_mismatch);
-  EXPECT_EQ(merged.rejected_oversize, sum.rejected_oversize);
-  EXPECT_EQ(merged.scrubbed_records, sum.scrubbed_records);
-  EXPECT_EQ(merged.coalesced_queries, sum.coalesced_queries);
-  EXPECT_EQ(merged.servfail_cache_hits, sum.servfail_cache_hits);
-  EXPECT_EQ(merged.watchdog_trips, sum.watchdog_trips);
+  const auto expect_shard_sum = [&scan](auto member) {
+    std::remove_cvref_t<decltype(scan.merged.*member)> sum;
+    for (const auto& shard : scan.shards) sum.merge(shard.result.*member);
+    EXPECT_EQ(dump(scan.merged.*member), dump(sum));
+  };
+  expect_shard_sum(&ScanResult::network);
+  expect_shard_sum(&ScanResult::infra);
+  expect_shard_sum(&ScanResult::record_cache);
+  expect_shard_sum(&ScanResult::hardening);
 
+  const auto& merged = scan.merged.hardening;
   // The gate sees real hostile traffic (mangled questions) on this world;
   // the spoof-shaped rejections stay zero on its fault-free transport.
   EXPECT_GT(merged.rejected_question_mismatch, 0u);
@@ -256,15 +263,7 @@ TEST(ParallelScan, HardeningCountersSumAcrossShards) {
   EXPECT_EQ(merged.edns_formerr_seen, 0u);
   EXPECT_EQ(merged.edns_badvers_seen, 0u);
   EXPECT_EQ(merged.edns_garbled_opt, 0u);
-  EXPECT_GT(scan.merged.transport.edns_broken_learned, 0u);
-  std::uint64_t skips = 0;
-  std::uint64_t learned = 0;
-  for (const auto& shard : scan.shards) {
-    skips += shard.result.hardening.edns_capability_skips;
-    learned += shard.result.transport.edns_broken_learned;
-  }
-  EXPECT_EQ(merged.edns_capability_skips, skips);
-  EXPECT_EQ(scan.merged.transport.edns_broken_learned, learned);
+  EXPECT_GT(scan.merged.infra.edns_broken_learned, 0u);
 }
 
 // The merge arithmetic for the EDNS capability stats, independent of any
@@ -281,7 +280,7 @@ TEST(ScanMerge, EdnsCapabilityStatsSumShardInvariantly) {
     r.hardening.edns_fallback_probes = 5 * scale;
     r.hardening.edns_degraded_success = 7 * scale;
     r.hardening.edns_capability_skips = 11 * scale;
-    r.transport.edns_broken_learned = 13 * scale;
+    r.infra.edns_broken_learned = 13 * scale;
     return r;
   };
 
@@ -301,7 +300,7 @@ TEST(ScanMerge, EdnsCapabilityStatsSumShardInvariantly) {
     EXPECT_EQ(r->hardening.edns_fallback_probes, 555u);
     EXPECT_EQ(r->hardening.edns_degraded_success, 777u);
     EXPECT_EQ(r->hardening.edns_capability_skips, 1221u);
-    EXPECT_EQ(r->transport.edns_broken_learned, 1443u);
+    EXPECT_EQ(r->infra.edns_broken_learned, 1443u);
   }
 
   // And the report's compliance breakdown renders them (only when hot).

@@ -575,7 +575,7 @@ int run_campaign(const CampaignOptions& options) {
         const resolver::HardeningStats before = resolver.hardening_stats();
         const auto outcome =
             resolver.resolve(testbed.query_name(spec), dns::RRType::A);
-        const resolver::HardeningStats after = resolver.hardening_stats();
+        const auto delta = resolver.hardening_stats() - before;
         const auto where =
             where_of(seed, profile.name, " [hostile-tcp]", spec.label);
         tally.check(where, outcome, attempts_bound, pass);
@@ -588,10 +588,7 @@ int run_campaign(const CampaignOptions& options) {
           const auto code = static_cast<std::uint16_t>(error.code);
           has_transport_ede |= code == 22 || code == 23;
         }
-        const std::uint64_t tc_delta = after.tc_seen - before.tc_seen;
-        const std::uint64_t success_delta =
-            after.tcp_success - before.tcp_success;
-        if (tc_delta > 0 && success_delta == 0) {
+        if (delta.tc_seen > 0 && delta.tcp_success == 0) {
           if (outcome.rcode == dns::RCode::NOERROR) {
             tally.violations.push_back(
                 {where, "silent NOERROR after a failed DoTCP fallback"});

@@ -29,6 +29,7 @@ void parse_params(const Tokens& toks, std::size_t open, std::size_t close,
     ParamDecl p;
     bool seen_eq = false;
     bool any = false;
+    bool only_void = true;
     for (std::size_t m = a; m < b;) {
       const Token& t = toks[m];
       if (is_punct(t, "=")) { seen_eq = true; ++m; continue; }
@@ -43,8 +44,7 @@ void parse_params(const Tokens& toks, std::size_t open, std::size_t close,
           if (t.text == "string_view" || t.text == "span" ||
               t.text == "BytesView")
             p.is_view = true;
-          if (!p.type_text.empty()) p.type_text += ' ';
-          p.type_text += t.text;
+          if (t.text != "void") only_void = false;
           if (!is_cpp_keyword(t.text) &&
               !(m > 0 && is_punct(toks[m - 1], "::"))) {
             p.name = t.text;
@@ -54,7 +54,7 @@ void parse_params(const Tokens& toks, std::size_t open, std::size_t close,
       }
       ++m;
     }
-    if (any && p.type_text != "void") out.push_back(std::move(p));
+    if (any && !only_void) out.push_back(std::move(p));
     a = b + 1;
   }
 }

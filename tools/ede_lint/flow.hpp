@@ -1,8 +1,7 @@
 // ede_lint flow layer (DESIGN.md §5j): function definitions with
 // brace-matched body extents, parameter shapes, coroutine suspension
 // points, and named by-reference lambdas. This is the substrate for the
-// C1 coroutine-safety family and for matching out-of-line / free
-// `merge`/`operator+=` definitions back to their stats struct for S1.
+// C1 coroutine-safety family.
 #pragma once
 
 #include <string>
@@ -17,7 +16,6 @@ struct ParamDecl {
   int line = 0;
   bool by_ref = false;    // declarator carries a top-level '&' or '&&'
   bool is_view = false;   // type spells string_view / span / BytesView
-  std::string type_text;  // space-joined tokens before the name (for S1)
 };
 
 /// A named lambda bound inside a function body: `auto f = [&...](...){...}`.

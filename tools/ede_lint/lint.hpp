@@ -38,7 +38,7 @@ struct LintResult {
                                   std::string& error);
 
 /// Lex every input (plus all project sources under <repo_root>/src and
-/// <repo_root>/bench for index/renderer completeness), run the rules,
+/// <repo_root>/bench for index completeness), run the rules,
 /// apply the baseline.
 [[nodiscard]] LintResult run_lint(const Options& options, std::string& error);
 
